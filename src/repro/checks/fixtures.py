@@ -187,6 +187,19 @@ FIXTURES: tuple[Fixture, ...] = (
         expect=(("R3", 2),),
     ),
     Fixture(
+        label="R3-bad-placement-array-mutation",
+        path="src/repro/layout/example.py",
+        code=_snippet("""
+            class Layout:
+                def forget(self, name: str) -> None:
+                    self._placement.pop(name)
+
+                def rerank(self, name: str) -> None:
+                    self._object_rank[name] = 0
+        """),
+        expect=(("R3", 2), ("R3", 5)),
+    ),
+    Fixture(
         label="R3-bad-array-flip",
         path="src/repro/sched/example.py",
         code=_snippet("""

@@ -5,9 +5,11 @@ and is only sound if *every* mutation of placement or array state moves
 one of those counters.  This rule makes the contract machine-checked:
 
 * a function in ``layout/`` that mutates placement state
-  (``_data_addr``, ``_parity_addr``, ``_objects``, ``_start_cluster``,
-  ``_disk_contents``, ``_free_positions``, ``_next_position``) must also
-  call ``_invalidate_caches()`` (or bump ``_epoch``) in the same body;
+  (``_placement``, the per-object address arrays; ``_object_rank``;
+  ``_objects``, ``_start_cluster``, ``_free_positions``,
+  ``_next_position``; and the per-block tables ``_data_addr``,
+  ``_parity_addr``, ``_disk_contents`` they replaced) must also call
+  ``_invalidate_caches()`` (or bump ``_epoch``) in the same body;
 * a function in ``disk/`` that assigns the fault-domain state fields
   (``state``, ``is_failed``, ``service_fraction``, ``_media_errors``)
   must also touch ``state_changes``;
@@ -55,9 +57,13 @@ from repro.checks.core import (
 )
 
 #: Layout placement state: mutating any of these invalidates group plans.
+#: ``_placement`` (per-object address arrays) and ``_object_rank`` are the
+#: struct-of-arrays store; the per-block table names stay guarded so a
+#: reintroduced per-block table is covered too.
 PLACEMENT_FIELDS = frozenset({
-    "_data_addr", "_parity_addr", "_objects", "_start_cluster",
-    "_disk_contents", "_free_positions", "_next_position",
+    "_placement", "_object_rank", "_objects", "_start_cluster",
+    "_free_positions", "_next_position",
+    "_data_addr", "_parity_addr", "_disk_contents",
 })
 
 #: Disk fault-domain state: flipping these must move ``state_changes``.

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=7,
                        help="campaign seed (default 7)")
     chaos.add_argument("--scheme", default="all",
-                       help="SR, SG, NC, IB, or all (default all)")
+                       help="SR, SG, NC, IB, PD, or all five (default all)")
     chaos.add_argument("--cycles", type=int, default=40,
                        help="campaign length in cycles (default 40)")
     chaos.add_argument("--max-failures", type=int, default=2,

@@ -148,6 +148,20 @@ class Disk:
             self._tracks.get(position, _META)
         self.writes += 1
 
+    def write_meta_many(self, positions: list[int]) -> None:
+        """:meth:`write_meta` for a batch of positions, in order, behind
+        one bounds check (the layout's bulk metadata loader)."""
+        if not positions:
+            return
+        self._check_position(min(positions))
+        self._check_position(max(positions))
+        tracks = self._tracks
+        if self.store_payloads:
+            tracks.update((p, tracks.get(p, _META)) for p in positions)
+        else:
+            tracks.update(dict.fromkeys(positions, _META))
+        self.writes += len(positions)
+
     def read(self, position: int) -> bytes:
         """Return the payload at ``position``.
 

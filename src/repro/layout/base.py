@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from repro.disk.drive import DiskArray
 from repro.errors import ConfigurationError, LayoutError
@@ -34,6 +36,9 @@ from repro.units import mb_to_bytes
 #: asking for history below the floor get ``None`` and must fall back to
 #: wholesale invalidation.
 DELTA_LOG_LIMIT = 256
+
+#: Parity groups one :meth:`DataLayout.group_geometry` miss memoizes.
+GEOMETRY_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -50,13 +55,24 @@ class PlacementDelta:
     name: str
 
 
+class Placement(NamedTuple):
+    """One placed object's addresses (placement is a struct of arrays):
+    read-only int64 arrays indexed by data track (``data_*``) and by
+    parity group (``parity_*``)."""
+
+    data_disks: np.ndarray
+    data_positions: np.ndarray
+    parity_disks: np.ndarray
+    parity_positions: np.ndarray
+
+
 class DataLayout(abc.ABC):
     """Common machinery for parity-group layouts.
 
     Concrete subclasses decide cluster geometry and parity placement by
-    implementing :meth:`_data_disk_for` and :meth:`_parity_disk_for`;
-    everything else (per-disk slot allocation, lookup tables, catastrophe
-    detection, materialisation) is shared.
+    implementing the vectorised :meth:`_group_disks`; everything else
+    (per-disk slot allocation, lookups, catastrophe detection,
+    materialisation) is shared.
     """
 
     def __init__(self, num_disks: int, parity_group_size: int) -> None:
@@ -72,18 +88,17 @@ class DataLayout(abc.ABC):
         self.parity_group_size = parity_group_size
         self._objects: dict[str, MediaObject] = {}
         self._start_cluster: dict[str, int] = {}
-        self._data_addr: dict[tuple[str, int], DiskAddress] = {}
-        self._parity_addr: dict[tuple[str, int], DiskAddress] = {}
-        self._disk_contents: dict[int, list[StoredBlock]] = {
-            disk_id: [] for disk_id in range(num_disks)
-        }
-        self._next_position = [0] * num_disks
-        #: Track slots freed by removed objects, reused before the
+        #: Per-object address arrays, in placement order.
+        self._placement: dict[str, Placement] = {}
+        #: Order of each name's first placement (kept across removal);
+        #: the improved-bandwidth layout rotates parity by it.
+        self._object_rank: dict[str, int] = {}
+        self._next_position = np.zeros(num_disks, dtype=np.int64)
+        #: Track slots freed by removed objects, reused (LIFO) before the
         #: high-water mark grows (the tertiary purge/reload cycle of
-        #: Section 1 swaps objects in and out of the same disks).
-        self._free_positions: dict[int, list[int]] = {
-            disk_id: [] for disk_id in range(num_disks)
-        }
+        #: Section 1 swaps objects in and out of the same disks).  Only
+        #: disks with free slots have an entry.
+        self._free_positions: dict[int, list[int]] = {}
         #: Placement epoch: bumped whenever addresses change (place/remove).
         #: Schedulers key their cycle-plan caches on this.
         self._epoch = 0
@@ -100,7 +115,6 @@ class DataLayout(abc.ABC):
             tuple[str, int],
             tuple[tuple[tuple[int, int], ...], tuple[int, int]]] = {}
         self._names_cache: Optional[frozenset[str]] = None
-        self._block_index: Optional[dict[tuple[int, int], StoredBlock]] = None
 
     # -- cache management ---------------------------------------------------
 
@@ -116,7 +130,6 @@ class DataLayout(abc.ABC):
         self._cluster_cache.clear()
         self._geometry_cache.clear()
         self._names_cache = None
-        self._block_index = None
         # Wholesale invalidation abandons delta history: raise the floor
         # so deltas_since() callers below it fall back to a full rebuild.
         self._delta_log.clear()
@@ -127,12 +140,11 @@ class DataLayout(abc.ABC):
 
         ``place`` only appends addresses, so every memoized per-object
         lookup survives; ``remove`` kills just the removed object's
-        entries.  The object-set caches (:attr:`object_names`, the block
-        reverse index) are rebuilt lazily either way.
+        entries.  The object-set cache (:attr:`object_names`) is rebuilt
+        lazily either way.
         """
         self._epoch += 1
         self._names_cache = None
-        self._block_index = None
         if kind == "remove":
             for cache in (self._span_cache, self._tracks_cache,
                           self._cluster_cache, self._geometry_cache):
@@ -180,12 +192,14 @@ class DataLayout(abc.ABC):
         """True if the disk is *dedicated* to parity (clustered layouts)."""
 
     @abc.abstractmethod
-    def _data_disk_for(self, obj: MediaObject, group: int, offset: int) -> int:
-        """Disk holding data block ``offset`` of parity group ``group``."""
+    def _group_disks(self, groups: np.ndarray, start: int, rank: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Disks of parity groups ``groups`` of an object whose first group
+        sits at ``start`` and whose placement rank is ``rank``.
 
-    @abc.abstractmethod
-    def _parity_disk_for(self, obj: MediaObject, group: int) -> int:
-        """Disk holding the parity block of parity group ``group``."""
+        Returns a ``(len(groups), C - 1)`` matrix of data disks (column
+        ``o`` holds offset ``o``) and the vector of parity disks.
+        """
 
     # -- placement --------------------------------------------------------
 
@@ -200,37 +214,20 @@ class DataLayout(abc.ABC):
         Parity groups are allocated round-robin over clusters starting at
         ``start_cluster`` (Section 2: "if the first parity group for an
         object is located on cluster h, then the j-th parity group for that
-        object is located on cluster h + j mod Nc").
+        object is located on cluster h + j mod Nc").  Blocks take slots
+        group by group, data offsets before parity.
         """
-        if obj.name in self._objects:
-            raise LayoutError(f"object {obj.name!r} already placed")
-        if start_cluster is None:
-            start_cluster = len(self._objects) % self.num_clusters
-        if not 0 <= start_cluster < self.num_clusters:
-            raise LayoutError(
-                f"start cluster {start_cluster} out of range "
-                f"(0..{self.num_clusters - 1})"
-            )
+        start = self._start_of(obj, start_cluster)
+        rank = self._object_rank.setdefault(obj.name, len(self._object_rank))
+        disks, data_at, parity_at = self._block_sequence(obj, start, rank)
+        positions = self._allocate(disks)
         self._objects[obj.name] = obj
-        self._start_cluster[obj.name] = start_cluster
-        stripe = self.data_disks_per_group
-        for group in range(self.group_count(obj)):
-            for offset in range(stripe):
-                track = group * stripe + offset
-                if track >= obj.num_tracks:
-                    break
-                disk_id = self._data_disk_for(obj, group, offset)
-                address = self._allocate(disk_id)
-                self._data_addr[(obj.name, track)] = address
-                self._disk_contents[disk_id].append(
-                    StoredBlock(obj.name, BlockKind.DATA, track)
-                )
-            parity_disk = self._parity_disk_for(obj, group)
-            address = self._allocate(parity_disk)
-            self._parity_addr[(obj.name, group)] = address
-            self._disk_contents[parity_disk].append(
-                StoredBlock(obj.name, BlockKind.PARITY, group)
-            )
+        self._start_cluster[obj.name] = start
+        placed = Placement(disks[data_at], positions[data_at],
+                           disks[parity_at], positions[parity_at])
+        for values in placed:
+            values.flags.writeable = False
+        self._placement[obj.name] = placed
         self._record_delta("place", obj.name)
 
     def place_catalog(self, catalog: Catalog,
@@ -244,75 +241,96 @@ class DataLayout(abc.ABC):
         for obj in catalog:
             self.place(obj, start_cluster=start_cluster)
 
+    def _start_of(self, obj: MediaObject, start_cluster: Optional[int]) -> int:
+        """Validated first cluster for an object about to be placed."""
+        if obj.name in self._objects:
+            raise LayoutError(f"object {obj.name!r} already placed")
+        if start_cluster is None:
+            start_cluster = len(self._objects) % self.num_clusters
+        if not 0 <= start_cluster < self.num_clusters:
+            raise LayoutError(
+                f"start cluster {start_cluster} out of range "
+                f"(0..{self.num_clusters - 1})")
+        return start_cluster
+
+    def _block_sequence(self, obj: MediaObject, start: int, rank: int,
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Disk of each of ``obj``'s blocks in allocation order (group by
+        group, data offsets then parity), with the sequence indices of
+        its data tracks and of its parity blocks."""
+        stripe = self.data_disks_per_group
+        tracks = np.arange(obj.num_tracks)
+        groups = np.arange(self.group_count(obj))
+        data, parity = self._group_disks(groups, start, rank)
+        data_at = tracks + tracks // stripe
+        parity_at = groups * (stripe + 1) + stripe
+        parity_at[-1] = len(tracks) + len(groups) - 1  # short tail group
+        disks = np.empty(len(tracks) + len(groups), dtype=np.int64)
+        disks[data_at] = data.ravel()[:len(tracks)]
+        disks[parity_at] = parity
+        return disks, data_at, parity_at
+
     # Allocation helper: only reachable from place(), which owns the bump.
-    def _allocate(self, disk_id: int) -> DiskAddress:  # repro: allow(epoch-cache)
-        free = self._free_positions[disk_id]
-        if free:
-            return DiskAddress(disk_id, free.pop())
-        position = self._next_position[disk_id]
-        self._next_position[disk_id] += 1
-        return DiskAddress(disk_id, position)
+    def _allocate(self, disks: np.ndarray) -> np.ndarray:  # repro: allow(epoch-cache)
+        """Slot per block of an allocation sequence: the ``k``-th block on
+        a disk pops its ``k``-th most recently freed slot, later ones
+        take fresh slots from the high-water mark (LIFO, by rank)."""
+        counts = np.bincount(disks, minlength=self.num_disks)
+        order = np.argsort(disks, kind="stable")
+        starts = np.cumsum(counts) - counts
+        rank = np.empty_like(disks)
+        rank[order] = np.arange(len(disks)) - np.repeat(starts, counts)
+        positions = self._next_position[disks] + rank
+        free = self._free_positions
+        for disk_id, slots in list(free.items()):
+            mine = order[starts[disk_id]:starts[disk_id] + counts[disk_id]]
+            take = min(len(mine), len(slots))
+            positions[mine] -= len(slots)
+            positions[mine[:take]] = slots[::-1][:take]
+            counts[disk_id] -= take
+            del slots[len(slots) - take:]
+            if not slots:
+                del free[disk_id]
+        self._next_position += counts
+        return positions
 
     def remove(self, name: str) -> list[DiskAddress]:
         """Un-place an object, freeing its slots for reuse.
 
-        Returns the freed physical addresses so the caller can discard the
-        payloads from the drives (Section 1: "one or more disk-resident
-        objects must be purged to make space").
+        Returns the freed addresses (data tracks, then parity groups) so
+        the caller can discard the payloads from the drives (Section 1:
+        "one or more disk-resident objects must be purged to make space").
         """
-        obj = self.object(name)
-        freed: list[DiskAddress] = []
-        for track in range(obj.num_tracks):
-            freed.append(self._data_addr.pop((name, track)))
-        for group in range(self.group_count(obj)):
-            freed.append(self._parity_addr.pop((name, group)))
-        for address in freed:
-            self._free_positions[address.disk_id].append(address.position)
-        for disk_id in set(a.disk_id for a in freed):
-            self._disk_contents[disk_id] = [
-                block for block in self._disk_contents[disk_id]
-                if block.object_name != name
-            ]
+        self.object(name)
+        disks, positions = self._flatten([self._placement.pop(name)])
+        for disk_id, freed in self._by_disk(disks, positions):
+            self._free_positions.setdefault(disk_id, []).extend(freed)
         del self._objects[name]
         del self._start_cluster[name]
         self._record_delta("remove", name)
-        return freed
+        return list(map(DiskAddress, disks.tolist(), positions.tolist()))
 
     def occupied_positions(self, disk_id: int) -> int:
         """Slots currently holding blocks on a disk (high-water - freed)."""
-        return self._next_position[disk_id] - \
-            len(self._free_positions[disk_id])
+        return int(self._next_position[disk_id]) - \
+            len(self._free_positions.get(disk_id, ()))
 
-    # Transient probe: simulates place() then restores all state, so the
-    # epoch is unchanged on exit by construction.
-    def placement_demand(self, obj: MediaObject,  # repro: allow(epoch-cache)
+    def placement_demand(self, obj: MediaObject,
                          start_cluster: Optional[int] = None,
                          ) -> dict[int, int]:
         """Blocks per disk that placing ``obj`` would allocate.
 
         Lets callers check fit against drive capacities *before* placing
         (placement itself is unconditional — the layout does not know the
-        drives' sizes).
+        drives' sizes).  A pure probe: no placement state changes, not
+        even the rank a first placement would assign.
         """
-        if obj.name in self._objects:
-            raise LayoutError(f"object {obj.name!r} already placed")
-        if start_cluster is None:
-            start_cluster = len(self._objects) % self.num_clusters
-        demand: dict[int, int] = {}
-        self._start_cluster[obj.name] = start_cluster
-        try:
-            stripe = self.data_disks_per_group
-            for group in range(self.group_count(obj)):
-                for offset in range(stripe):
-                    if group * stripe + offset >= obj.num_tracks:
-                        break
-                    disk_id = self._data_disk_for(obj, group, offset)
-                    demand[disk_id] = demand.get(disk_id, 0) + 1
-                parity_disk = self._parity_disk_for(obj, group)
-                demand[parity_disk] = demand.get(parity_disk, 0) + 1
-        finally:
-            del self._start_cluster[obj.name]
-        return demand
+        start = self._start_of(obj, start_cluster)
+        rank = self._object_rank.get(obj.name, len(self._object_rank))
+        disks, _, _ = self._block_sequence(obj, start, rank)
+        counts = np.bincount(disks, minlength=self.num_disks)
+        return {disk_id: int(counts[disk_id])
+                for disk_id in np.flatnonzero(counts).tolist()}
 
     # -- lookups ----------------------------------------------------------
 
@@ -326,6 +344,11 @@ class DataLayout(abc.ABC):
     def has_object(self, name: str) -> bool:
         """True if an object of that name is currently placed (O(1))."""
         return name in self._objects
+
+    def placement(self, name: str) -> Placement:
+        """The read-only address arrays of one placed object."""
+        self.object(name)
+        return self._placement[name]
 
     @property
     def object_names(self) -> frozenset[str]:
@@ -383,14 +406,17 @@ class DataLayout(abc.ABC):
     def data_address(self, name: str, track: int) -> DiskAddress:
         """Physical address of one data track."""
         self.group_of(name, track)  # validates
-        return self._data_addr[(name, track)]
+        placed = self._placement[name]
+        return DiskAddress(int(placed.data_disks[track]),
+                           int(placed.data_positions[track]))
 
     def parity_address(self, name: str, group: int) -> DiskAddress:
         """Physical address of one parity block."""
-        key = (name, group)
-        if key not in self._parity_addr:
+        placed = self._placement.get(name)
+        if placed is None or not 0 <= group < len(placed.parity_disks):
             raise LayoutError(f"no parity group {group} for object {name!r}")
-        return self._parity_addr[key]
+        return DiskAddress(int(placed.parity_disks[group]),
+                           int(placed.parity_positions[group]))
 
     # Geometry memo: keyed by (name, group), placement is fixed at
     # construction, so the write is idempotent and value-deterministic —
@@ -405,7 +431,7 @@ class DataLayout(abc.ABC):
         span = GroupSpan(
             object_name=name,
             group_index=group,
-            data=tuple(self._data_addr[(name, t)] for t in tracks),
+            data=tuple(self.data_address(name, t) for t in tracks),
             parity=self.parity_address(name, group),
         )
         self._span_cache[key] = span
@@ -420,22 +446,24 @@ class DataLayout(abc.ABC):
         schedulers' per-cycle plan building: no dataclass construction,
         memoized until placement changes.  Treat the result as immutable.
         """
-        key = (name, group)
-        cached = self._geometry_cache.get(key)
+        cached = self._geometry_cache.get((name, group))
         if cached is None:
-            num_tracks = self.object(name).num_tracks
+            placed = self.placement(name)
             stripe = self.data_disks_per_group
-            first = group * stripe
-            if not 0 <= first < num_tracks:
+            if not 0 <= group < len(placed.parity_disks):
                 raise LayoutError(f"group {group} out of range for {name!r}")
-            data_addr = self._data_addr
-            members = []
-            for track in range(first, min(first + stripe, num_tracks)):
-                addr = data_addr[(name, track)]
-                members.append((addr.disk_id, addr.position))
-            parity = self.parity_address(name, group)
-            cached = (tuple(members), (parity.disk_id, parity.position))
-            self._geometry_cache[key] = cached
+            # Streams read groups in order, so a miss fills the memo for
+            # a window of groups from one slice of the placement arrays.
+            end = min(group + GEOMETRY_WINDOW, len(placed.parity_disks))
+            tracks = slice(group * stripe, end * stripe)
+            members = list(zip(placed.data_disks[tracks].tolist(),
+                               placed.data_positions[tracks].tolist()))
+            for at, parity in enumerate(zip(
+                    placed.parity_disks[group:end].tolist(),
+                    placed.parity_positions[group:end].tolist())):
+                self._geometry_cache.setdefault((name, group + at), (tuple(
+                    members[at * stripe:(at + 1) * stripe]), parity))
+            cached = self._geometry_cache[(name, group)]
         return cached
 
     # Geometry memo: keyed by (name, group), placement is fixed at
@@ -454,13 +482,25 @@ class DataLayout(abc.ABC):
 
     def blocks_on_disk(self, disk_id: int) -> list[StoredBlock]:
         """Everything stored on one disk, in allocation order."""
-        if disk_id not in self._disk_contents:
+        if not 0 <= disk_id < self.num_disks:
             raise LayoutError(f"no such disk: {disk_id}")
-        return list(self._disk_contents[disk_id])
+        stripe = self.data_disks_per_group
+        blocks: list[StoredBlock] = []
+        for name, placed in self._placement.items():
+            tracks = np.flatnonzero(placed.data_disks == disk_id)
+            groups = np.flatnonzero(placed.parity_disks == disk_id)
+            # Sort by allocation-sequence index (see _block_sequence).
+            keys = np.concatenate((tracks + tracks // stripe,
+                                   groups * (stripe + 1) + stripe))
+            indices = np.concatenate((tracks, groups)).tolist()
+            for at in np.argsort(keys).tolist():
+                kind = BlockKind.DATA if at < len(tracks) else BlockKind.PARITY
+                blocks.append(StoredBlock(name, kind, indices[at]))
+        return blocks
 
     def used_positions(self, disk_id: int) -> int:
         """How many track slots the layout has allocated on a disk."""
-        return self._next_position[disk_id]
+        return int(self._next_position[disk_id])
 
     # -- failure analysis --------------------------------------------------
 
@@ -468,15 +508,13 @@ class DataLayout(abc.ABC):
         """True if some parity group contains blocks on both disks."""
         if disk_a == disk_b:
             return True
-        disks_b: set[tuple[str, int]] = set()
-        for block in self._disk_contents[disk_b]:
-            group = (block.index if block.kind is BlockKind.PARITY
-                     else block.index // self.data_disks_per_group)
-            disks_b.add((block.object_name, group))
-        for block in self._disk_contents[disk_a]:
-            group = (block.index if block.kind is BlockKind.PARITY
-                     else block.index // self.data_disks_per_group)
-            if (block.object_name, group) in disks_b:
+        stripe = self.data_disks_per_group
+        for placed in self._placement.values():
+            on_a, on_b = (np.union1d(
+                np.flatnonzero(placed.data_disks == disk) // stripe,
+                np.flatnonzero(placed.parity_disks == disk))
+                for disk in (disk_a, disk_b))
+            if np.intersect1d(on_a, on_b).size:
                 return True
         return False
 
@@ -503,14 +541,19 @@ class DataLayout(abc.ABC):
         the unused stripe units.
 
         On a metadata-only array (``store_payloads=False``) no bytes are
-        generated at all: each address is merely marked occupied — O(1) per
-        track — and the real payloads stay derivable on demand through
+        generated at all: each disk's addresses are marked occupied in one
+        bulk write, and the real payloads stay derivable on demand through
         :meth:`resolve_payload`.
         """
         if len(array) != self.num_disks:
             raise ConfigurationError(
                 f"layout expects {self.num_disks} disks, array has {len(array)}"
             )
+        if not array.store_payloads:
+            for disk_id, positions in self._by_disk(
+                    *self._flatten(self._placement.values())):
+                array[disk_id].write_meta_many(positions)
+            return
         for obj in self._objects.values():
             self.materialise_object(array, obj.name)
 
@@ -518,55 +561,64 @@ class DataLayout(abc.ABC):
         """Write one placed object's payloads and parity onto the array
         (the per-object loader the tertiary staging path uses)."""
         obj = self.object(name)
+        disks, positions = self._flatten([self._placement[name]])
         if not array.store_payloads:
             # Metadata-only: mark occupancy, derive payloads lazily.
-            for track in range(obj.num_tracks):
-                address = self._data_addr[(name, track)]
-                array[address.disk_id].write_meta(address.position)
-            for group in range(self.group_count(obj)):
-                address = self._parity_addr[(name, group)]
-                array[address.disk_id].write_meta(address.position)
+            for disk_id, chunk in self._by_disk(disks, positions):
+                array[disk_id].write_meta_many(chunk)
             return
         track_bytes = mb_to_bytes(array.spec.track_size_mb)
-        # Generate and write every data track, collecting the group rows;
-        # then encode every group's parity as one matrix XOR (short tail
-        # rows are implicitly zero-padded — the XOR identity).
-        rows: list[list[bytes]] = []
-        for group in range(self.group_count(obj)):
-            payloads: list[bytes] = []
-            for track in self.group_tracks(name, group):
-                payload = obj.track_payload(track, track_bytes)
-                address = self._data_addr[(name, track)]
-                array[address.disk_id].write(address.position, payload)
-                payloads.append(payload)
-            rows.append(payloads)
-        for group, parity in enumerate(xor_matrix(rows)):
-            address = self._parity_addr[(name, group)]
-            array[address.disk_id].write(address.position, parity)
+        # Generate every data track, then encode every group's parity as
+        # one matrix XOR (short tail rows are implicitly zero-padded —
+        # the XOR identity); write them all in block order.
+        payloads = [obj.track_payload(track, track_bytes)
+                    for track in range(obj.num_tracks)]
+        stripe = self.data_disks_per_group
+        payloads += xor_matrix([payloads[first:first + stripe]
+                                for first in range(0, obj.num_tracks, stripe)])
+        for disk_id, position, payload in zip(disks.tolist(),
+                                              positions.tolist(), payloads):
+            array[disk_id].write(position, payload)
+
+    @staticmethod
+    def _flatten(placements: Iterable[Placement],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Disk and position of every block of ``placements``: object by
+        object, data tracks in order and then parity groups."""
+        empty = np.zeros(0, dtype=np.int64)
+        disks, positions = [empty], [empty]
+        for placed in placements:
+            disks += (placed.data_disks, placed.parity_disks)
+            positions += (placed.data_positions, placed.parity_positions)
+        return np.concatenate(disks), np.concatenate(positions)
+
+    @staticmethod
+    def _by_disk(disks: np.ndarray, positions: np.ndarray,
+                 ) -> Iterator[tuple[int, list[int]]]:
+        """``(disk, its positions)`` per disk of a block sequence, each
+        disk's positions kept in sequence order."""
+        order = np.argsort(disks, kind="stable")
+        ids, starts = np.unique(disks[order], return_index=True)
+        return zip(ids.tolist(), (chunk.tolist() for chunk in
+                                  np.split(positions[order], starts[1:])))
 
     # -- lazy payload derivation (metadata-only mode) -----------------------
 
     def block_at(self, disk_id: int, position: int) -> StoredBlock:
-        """The logical block stored at one physical address.
-
-        Backed by a reverse index built lazily and flushed on placement
-        changes; raises :class:`LayoutError` for unoccupied addresses.
-        """
-        if self._block_index is None:
-            index: dict[tuple[int, int], StoredBlock] = {}
-            for (name, track), address in self._data_addr.items():
-                index[(address.disk_id, address.position)] = StoredBlock(
-                    name, BlockKind.DATA, track)
-            for (name, group), address in self._parity_addr.items():
-                index[(address.disk_id, address.position)] = StoredBlock(
-                    name, BlockKind.PARITY, group)
-            self._block_index = index
-        try:
-            return self._block_index[(disk_id, position)]
-        except KeyError:
-            raise LayoutError(
-                f"disk {disk_id} position {position} holds no placed block"
-            ) from None
+        """The logical block stored at one physical address (a scan of
+        the placement arrays); raises :class:`LayoutError` for
+        unoccupied addresses."""
+        for name, placed in self._placement.items():
+            for kind, disks, positions in (
+                    (BlockKind.DATA, placed.data_disks, placed.data_positions),
+                    (BlockKind.PARITY, placed.parity_disks,
+                     placed.parity_positions)):
+                hit = np.flatnonzero((disks == disk_id)
+                                     & (positions == position))
+                if hit.size:
+                    return StoredBlock(name, kind, int(hit[0]))
+        raise LayoutError(
+            f"disk {disk_id} position {position} holds no placed block")
 
     def resolve_payload(self, disk_id: int, position: int,
                         track_bytes: int) -> bytes:
@@ -619,6 +671,14 @@ class DataLayout(abc.ABC):
             and derived == expected and derived_parity == expected_parity
 
     # -- misc ---------------------------------------------------------------
+
+    def _check_disk(self, disk_id: int) -> None:
+        if not 0 <= disk_id < self.num_disks:
+            raise ConfigurationError(f"no such disk: {disk_id}")
+
+    def _check_cluster(self, cluster: int) -> None:
+        if not 0 <= cluster < self.num_clusters:
+            raise ConfigurationError(f"no such cluster: {cluster}")
 
     def describe(self) -> str:
         """One-line human description of the layout."""

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.layout.base import DataLayout
-from repro.media.objects import MediaObject
 
 
 class ClusteredParityLayout(DataLayout):
@@ -70,13 +71,11 @@ class ClusteredParityLayout(DataLayout):
         self._check_disk(disk_id)
         return disk_id % self.parity_group_size == self.parity_group_size - 1
 
-    def _data_disk_for(self, obj: MediaObject, group: int, offset: int) -> int:
-        cluster = (self._start_cluster[obj.name] + group) % self.num_clusters
-        return cluster * self.parity_group_size + offset
-
-    def _parity_disk_for(self, obj: MediaObject, group: int) -> int:
-        cluster = (self._start_cluster[obj.name] + group) % self.num_clusters
-        return self.parity_disk(cluster)
+    def _group_disks(self, groups: np.ndarray, start: int, rank: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        base = (start + groups) % self.num_clusters * self.parity_group_size
+        stripe = self.data_disks_per_group
+        return base[:, None] + np.arange(stripe), base + stripe
 
     def is_catastrophic_geometric(self, failed_ids: Iterable[int]) -> bool:
         """Two failures in the same cluster lose data (layout geometry only).
@@ -85,20 +84,5 @@ class ClusteredParityLayout(DataLayout):
         placed objects, so the reliability Monte-Carlo can use it on bare
         geometry; it is the paper's own criterion (Section 2).
         """
-        seen: set[int] = set()
-        for disk_id in failed_ids:
-            cluster = self.cluster_of(disk_id)
-            if cluster in seen:
-                return True
-            seen.add(cluster)
-        return False
-
-    # -- helpers -----------------------------------------------------------
-
-    def _check_disk(self, disk_id: int) -> None:
-        if not 0 <= disk_id < self.num_disks:
-            raise ConfigurationError(f"no such disk: {disk_id}")
-
-    def _check_cluster(self, cluster: int) -> None:
-        if not 0 <= cluster < self.num_clusters:
-            raise ConfigurationError(f"no such cluster: {cluster}")
+        clusters = [self.cluster_of(disk_id) for disk_id in failed_ids]
+        return len(set(clusters)) < len(clusters)

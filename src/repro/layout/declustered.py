@@ -41,11 +41,13 @@ parity and every disk serves data, like the Improved-bandwidth layout.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.layout.base import DataLayout
-from repro.media.objects import MediaObject
 
 
 def smallest_prime_at_least(n: int) -> int:
@@ -72,10 +74,11 @@ class DeclusteredParityLayout(DataLayout):
         #: Modulus of the arithmetic-progression design (== ``num_disks``
         #: when that is prime; the design is then exactly balanced).
         self.design_modulus = smallest_prime_at_least(num_disks)
-        #: Valid design rows materialised so far, in diagonal order.
-        #: Construction-time geometry: rows depend only on (D, C), never
-        #: on placement, so the memo needs no epoch key.
-        self._design_rows: list[tuple[int, ...]] = []
+        #: Valid design rows materialised so far, in diagonal order, as a
+        #: ``(rows, C)`` array grown in chunks.  Construction-time
+        #: geometry: rows depend only on (D, C), never on placement, so
+        #: the memo needs no epoch key.
+        self._design_rows = np.zeros((0, parity_group_size), dtype=np.int64)
         #: Raw ``(j, s)`` indices scanned so far (phantom rows skipped).
         self._design_scanned = 0
 
@@ -104,49 +107,45 @@ class DeclusteredParityLayout(DataLayout):
         self._materialise_rows(self.raw_design_size)
         return len(self._design_rows)
 
-    def _raw_row(self, raw_index: int) -> tuple[int, ...]:
-        """Raw design row: the AP ``B(j, s)`` for the diagonal index."""
-        p = self.design_modulus
-        j = raw_index % p
-        s = 1 + raw_index % (p - 1)
-        return tuple((j + i * s) % p for i in range(self.parity_group_size))
-
     # Construction-time geometry memo: rows depend only on (D, C), are
     # scanned strictly in order, and every write is value-deterministic —
     # safe for ff eligibility probes to trigger.  # repro: allow(R8)
     def _materialise_rows(self, count: int) -> None:  # repro: allow(epoch-cache)
-        """Extend the valid-row cache to ``count`` rows (or exhaustion)."""
-        rows = self._design_rows
-        while len(rows) < count and self._design_scanned < self.raw_design_size:
-            row = self._raw_row(self._design_scanned)
-            self._design_scanned += 1
-            if max(row) < self.num_disks:
-                rows.append(row)
+        """Extend the valid-row cache to ``count`` rows (or exhaustion),
+        scanning raw rows ``B(j, s)`` in chunks that at least double the
+        cache and dropping the rows that name a phantom disk."""
+        p = self.design_modulus
+        while len(self._design_rows) < count \
+                and self._design_scanned < self.raw_design_size:
+            have = len(self._design_rows)
+            raw = np.arange(self._design_scanned, min(
+                self.raw_design_size,
+                self._design_scanned + max(1024, have, 2 * (count - have))))
+            rows = ((raw % p)[:, None] + (1 + raw % (p - 1))[:, None]
+                    * np.arange(self.parity_group_size)) % p
+            self._design_rows = np.concatenate(
+                (self._design_rows, rows[rows.max(axis=1) < self.num_disks]))
+            self._design_scanned = int(raw[-1]) + 1
+
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
+        """Design rows at ``indices`` (wrapping past the design's end)."""
+        self._materialise_rows(int(indices.max()) + 1)
+        return self._design_rows[indices % len(self._design_rows)]
 
     def design_row(self, index: int) -> tuple[int, ...]:
         """The ``index``-th valid design row (wrapping past the design)."""
         if index < 0:
             raise ConfigurationError(f"design row index {index} < 0")
-        self._materialise_rows(index + 1)
-        rows = self._design_rows
-        if index < len(rows):
-            return rows[index]
-        # The design is exhausted (index past every valid row): wrap.
-        return rows[index % len(rows)]
+        return tuple(self._rows(np.array([index]))[0].tolist())
 
     def pair_concurrence(self) -> dict[tuple[int, int], int]:
         """Co-occurrence count per unordered disk pair over the full
         design — the balance surface the property tests assert on."""
-        counts: dict[tuple[int, int], int] = {}
-        for a in range(self.num_disks):
-            for b in range(a + 1, self.num_disks):
-                counts[(a, b)] = 0
+        counts = dict.fromkeys(combinations(range(self.num_disks), 2), 0)
         self._materialise_rows(self.raw_design_size)
-        for row in self._design_rows:
-            members = sorted(row)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    counts[(a, b)] += 1
+        for row in self._design_rows.tolist():
+            for pair in combinations(sorted(row), 2):
+                counts[pair] += 1
         return counts
 
     # -- DataLayout geometry ----------------------------------------------
@@ -174,8 +173,7 @@ class DeclusteredParityLayout(DataLayout):
 
     def cluster_disks(self, cluster: int) -> list[int]:
         """The single disk of one virtual rotation class."""
-        if not 0 <= cluster < self.num_clusters:
-            raise ConfigurationError(f"no such cluster: {cluster}")
+        self._check_cluster(cluster)
         return [cluster]
 
     def is_parity_disk(self, disk_id: int) -> bool:
@@ -183,25 +181,16 @@ class DeclusteredParityLayout(DataLayout):
         self._check_disk(disk_id)
         return False
 
-    def _row_index(self, obj: MediaObject, group: int) -> int:
-        return self._start_cluster[obj.name] + group
-
-    def _data_disk_for(self, obj: MediaObject, group: int, offset: int) -> int:
-        index = self._row_index(obj, group)
-        row = self.design_row(index)
+    def _group_disks(self, groups: np.ndarray, start: int, rank: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        # Group ``g`` takes design row ``start + g``; parity sits at row
+        # position ``index mod C``, the data at the other positions.
+        index = start + groups
+        rows = self._rows(index)
         parity_slot = index % self.parity_group_size
-        data = row[:parity_slot] + row[parity_slot + 1:]
-        return data[offset]
-
-    def _parity_disk_for(self, obj: MediaObject, group: int) -> int:
-        index = self._row_index(obj, group)
-        return self.design_row(index)[index % self.parity_group_size]
-
-    def group_cluster(self, name: str, group: int) -> int:
-        """Declustered groups span arbitrary disk subsets; report the
-        rotation class of the group's first data member (consistent with
-        the base contract, but carrying no contiguity meaning)."""
-        return super().group_cluster(name, group)
+        data = rows[np.arange(self.parity_group_size) != parity_slot[:, None]]
+        return (data.reshape(len(rows), self.data_disks_per_group),
+                rows[np.arange(len(rows)), parity_slot])
 
     def is_catastrophic_geometric(self, failed_ids: Iterable[int]) -> bool:
         """Any two concurrent failures lose data.
@@ -215,15 +204,7 @@ class DeclusteredParityLayout(DataLayout):
         seen: set[int] = set()
         for disk_id in failed_ids:
             self._check_disk(disk_id)
-            if disk_id in seen:
-                continue
             seen.add(disk_id)
             if len(seen) >= 2:
                 return True
         return False
-
-    # -- helpers -----------------------------------------------------------
-
-    def _check_disk(self, disk_id: int) -> None:
-        if not 0 <= disk_id < self.num_disks:
-            raise ConfigurationError(f"no such disk: {disk_id}")

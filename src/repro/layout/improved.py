@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.layout.base import DataLayout
-from repro.media.objects import MediaObject
 
 
 class ImprovedBandwidthLayout(DataLayout):
@@ -35,7 +36,6 @@ class ImprovedBandwidthLayout(DataLayout):
                 "the improved-bandwidth layout needs at least two clusters "
                 "(parity lives on the *next* cluster)"
             )
-        self._object_rank: dict[str, int] = {}
 
     @property
     def num_clusters(self) -> int:
@@ -68,26 +68,17 @@ class ImprovedBandwidthLayout(DataLayout):
         self._check_disk(disk_id)
         return False
 
-    def _rank(self, obj: MediaObject) -> int:
-        if obj.name not in self._object_rank:
-            self._object_rank[obj.name] = len(self._object_rank)
-        return self._object_rank[obj.name]
-
-    def _data_disk_for(self, obj: MediaObject, group: int, offset: int) -> int:
-        cluster = (self._start_cluster[obj.name] + group) % self.num_clusters
-        return cluster * self.data_disks_per_group + offset
-
-    def _parity_disk_for(self, obj: MediaObject, group: int) -> int:
-        cluster = (self._start_cluster[obj.name] + group) % self.num_clusters
-        next_cluster = (cluster + 1) % self.num_clusters
-        # Spread parity round-robin over the next cluster's disks.  The
-        # extra ``group // num_clusters`` term advances one additional slot
-        # each full tour of the clusters; without it the slot index and the
-        # target cluster advance in lockstep and some disks would never
-        # receive parity.
-        slot = (self._rank(obj) + group + group // self.num_clusters) \
-            % self.data_disks_per_group
-        return next_cluster * self.data_disks_per_group + slot
+    def _group_disks(self, groups: np.ndarray, start: int, rank: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        nc, stripe = self.num_clusters, self.data_disks_per_group
+        cluster = (start + groups) % nc
+        # Parity goes round-robin over the next cluster's disks.  The extra
+        # ``group // num_clusters`` term advances one more slot per full
+        # tour of the clusters; without it slot and target cluster advance
+        # in lockstep and some disks would never receive parity.
+        slot = (rank + groups + groups // nc) % stripe
+        return (cluster[:, None] * stripe + np.arange(stripe),
+                (cluster + 1) % nc * stripe + slot)
 
     def parity_source_cluster(self, disk_id: int) -> int:
         """The cluster whose parity blocks may live on ``disk_id``."""
@@ -100,27 +91,8 @@ class ImprovedBandwidthLayout(DataLayout):
         to be lost", because a parity group spans cluster ``i``'s data disks
         and one disk of cluster ``i + 1``.
         """
-        clusters = sorted({self.cluster_of(d) for d in failed_ids})
-        failed_by_cluster: dict[int, int] = {}
-        for disk_id in failed_ids:
-            cluster = self.cluster_of(disk_id)
-            failed_by_cluster[cluster] = failed_by_cluster.get(cluster, 0) + 1
-        for cluster, count in failed_by_cluster.items():
-            if count >= 2:
-                return True
-        nc = self.num_clusters
-        cluster_set = set(clusters)
-        for cluster in clusters:
-            if (cluster + 1) % nc in cluster_set:
-                return True
-        return False
-
-    # -- helpers -----------------------------------------------------------
-
-    def _check_disk(self, disk_id: int) -> None:
-        if not 0 <= disk_id < self.num_disks:
-            raise ConfigurationError(f"no such disk: {disk_id}")
-
-    def _check_cluster(self, cluster: int) -> None:
-        if not 0 <= cluster < self.num_clusters:
-            raise ConfigurationError(f"no such cluster: {cluster}")
+        clusters = [self.cluster_of(d) for d in failed_ids]
+        distinct = set(clusters)
+        return len(distinct) < len(clusters) or any(
+            (cluster + 1) % self.num_clusters in distinct
+            for cluster in distinct)

@@ -1087,9 +1087,11 @@ class CycleScheduler(abc.ABC):
         ``(cnt, ptr, disks, parity, nxt)``: per group the data-member
         count, the member offset (``disks[ptr[g]:ptr[g+1]]`` are the
         group's data disks in track order), the parity disk, and the
-        group-end read pointer.  Keyed on the layout epoch alone —
-        failures move no data — so fail/repair/media transitions reuse
-        it and only re-derive the cheap failure overlay on top.
+        group-end read pointer.  ``disks`` and ``parity`` are the
+        layout's own read-only placement arrays; the pointers are
+        closed-form in the stripe width.  Keyed on the layout epoch
+        alone — failures move no data — so fail/repair/media transitions
+        reuse it and only re-derive the cheap failure overlay on top.
         """
         epoch = self.layout.epoch
         if self._ff_geom_epoch != epoch:
@@ -1097,24 +1099,12 @@ class CycleScheduler(abc.ABC):
             self._ff_geom_epoch = epoch
         entry = self._ff_geom.get(obj.name)
         if entry is None:
-            stripe = self._stripe
-            positions = -(-obj.num_tracks // stripe)
-            geometry = self.layout.group_geometry
-            name = obj.name
-            sizes: list[int] = []
-            flat: list[int] = []
-            parity_ids: list[int] = []
-            for position in range(positions):
-                members, parity_addr = geometry(name, position)
-                sizes.append(len(members))
-                flat.extend(disk_id for disk_id, _pos in members)
-                parity_ids.append(parity_addr[0])
-            cnt = np.asarray(sizes, dtype=np.int64)
-            ptr = np.zeros(positions + 1, dtype=np.int64)
-            np.cumsum(cnt, out=ptr[1:])
-            disks = np.asarray(flat, dtype=np.int64)
-            parity = np.asarray(parity_ids, dtype=np.int64)
-            entry = (cnt, ptr, disks, parity, ptr[1:])
+            placed = self.layout.placement(obj.name)
+            ptr = np.minimum(
+                np.arange(len(placed.parity_disks) + 1, dtype=np.int64)
+                * self._stripe, obj.num_tracks)
+            entry = (np.diff(ptr), ptr, placed.data_disks,
+                     placed.parity_disks, ptr[1:])
             self._ff_geom[obj.name] = entry
         return entry
 

@@ -462,13 +462,12 @@ class NonClusteredScheduler(CycleScheduler):
         new_read = stream.next_read_track
         num_tracks = stream.num_tracks
         target = self._schedule_target(stream, cycle)
-        name = stream.object.name
-        data_address = self.layout.data_address
+        disks = self.layout.placement(stream.object.name).data_disks
         planned = 0
         for _ in range(stream.rate):
             if new_read >= num_tracks or new_read >= target:
                 break
-            loads[data_address(name, new_read).disk_id] += 1
+            loads[int(disks[new_read])] += 1
             planned += 1
             new_read += 1
         return new_read, planned
@@ -612,7 +611,7 @@ class NonClusteredScheduler(CycleScheduler):
         stripe = self._stripe
         layout = self.layout
         name = obj.name
-        data_address = layout.data_address
+        disks = layout.placement(name).data_disks.tolist()
         sizes: list[int] = []
         flat: list[int] = []
         nexts: list[int] = []
@@ -625,7 +624,7 @@ class NonClusteredScheduler(CycleScheduler):
 
         def single(track: int) -> None:
             sizes.append(1)
-            flat.append(data_address(name, track).disk_id)
+            flat.append(disks[track])
             nexts.append(track + 1)
             data_counts.append(1)
             parity_flags.append(0)
@@ -661,8 +660,8 @@ class NonClusteredScheduler(CycleScheduler):
                         single(track)
                 elif eager:
                     if offset == 0:
-                        burst = [data_address(name, m).disk_id
-                                 for o, m in enumerate(tracks) if o != f]
+                        burst = [disks[m] for o, m in enumerate(tracks)
+                                 if o != f]
                         burst.append(parity_disk)
                         sizes.append(len(burst))
                         flat.extend(burst)
@@ -678,8 +677,7 @@ class NonClusteredScheduler(CycleScheduler):
                     else:
                         single(track)
                 elif offset == f:
-                    burst = [data_address(name, m).disk_id
-                             for m in tracks[f + 1:]]
+                    burst = [disks[m] for m in tracks[f + 1:]]
                     burst.append(parity_disk)
                     sizes.append(len(burst))
                     flat.extend(burst)

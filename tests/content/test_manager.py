@@ -5,7 +5,7 @@ import pytest
 from repro.content import ContentManager, EvictionPolicy, RequestOutcome
 from repro.disk import DiskArray, PAPER_TABLE1_DRIVE
 from repro.errors import ConfigurationError, LayoutError
-from repro.layout import ClusteredParityLayout
+from repro.layout import ClusteredParityLayout, ImprovedBandwidthLayout
 from repro.media import Catalog, MediaObject
 from repro.tertiary import TapeLibrary
 
@@ -141,6 +141,35 @@ class TestEviction:
         ticket = manager.request("m3")
         assert ticket.outcome is RequestOutcome.MISS
         assert ticket.evicted == ("m1",)
+
+
+class TestRejectedStaging:
+    def test_rejected_request_leaves_later_placements_alone(self):
+        """A request rejected after the capacity probe must leave no
+        trace in the layout: the next staged object lands exactly where
+        it would have had the rejected request never arrived."""
+        library = Catalog()
+        library.add(MediaObject("a", 0.1875, 12, seed=0))
+        library.add(MediaObject("huge", 0.1875, 400, seed=1))
+        library.add(MediaObject("b", 0.1875, 12, seed=2))
+        spec = SPEC.with_overrides(capacity_mb=TRACK_BYTES * 8 / 1e6)
+
+        def staged_parity(probe_huge: bool) -> list[int]:
+            layout = ImprovedBandwidthLayout(20, 5)
+            layout.place(library.get("a"))
+            array = DiskArray(20, spec)
+            layout.materialise(array)
+            manager = ContentManager(layout, array, library,
+                                     tape=TapeLibrary())
+            manager.pin("a")
+            if probe_huge:
+                ticket = manager.request("huge")
+                assert ticket.outcome is RequestOutcome.REJECTED
+            assert manager.request("b").outcome is RequestOutcome.MISS
+            return [layout.parity_address("b", g).disk_id
+                    for g in range(3)]
+
+        assert staged_parity(True) == staged_parity(False) == [9, 14, 19]
 
 
 class TestValidation:

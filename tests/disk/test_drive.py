@@ -76,6 +76,21 @@ class TestDisk:
         with pytest.raises(ValueError):
             Disk(-1, SMALL)
 
+    def test_bulk_meta_write_matches_per_position_writes(self):
+        bulk = Disk(0, SMALL, store_payloads=False)
+        single = Disk(1, SMALL, store_payloads=False)
+        bulk.write_meta_many([4, 0, 7])
+        for position in (4, 0, 7):
+            single.write_meta(position)
+        assert set(bulk.positions()) == set(single.positions()) == {0, 4, 7}
+        assert bulk.writes == single.writes == 3
+
+    def test_bulk_meta_write_checks_bounds_before_writing(self):
+        disk = Disk(0, SMALL, store_payloads=False)
+        with pytest.raises(LayoutError):
+            disk.write_meta_many([2, SMALL.tracks_per_disk])
+        assert disk.stored_tracks == 0 and disk.writes == 0
+
     def test_write_stores_copy(self, disk):
         payload = bytearray(b"abc")
         disk.write(0, bytes(payload))

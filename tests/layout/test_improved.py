@@ -156,3 +156,16 @@ class TestMaterialisation:
         parity_cluster = layout.cluster_of(span.parity.disk_id)
         assert data_clusters == {0}
         assert parity_cluster == 1
+
+
+class TestPlacementRank:
+    def test_demand_probe_leaves_parity_rotation_alone(self):
+        """Probing an object that is never placed must not take a
+        placement rank: the next object's parity stays where it would
+        be without the probe."""
+        layout = make_layout(20, 5)
+        layout.place(obj("a", 12))
+        layout.placement_demand(obj("x", 12))
+        layout.place(obj("b", 12))
+        assert [layout.parity_address("b", g).disk_id
+                for g in range(3)] == [9, 14, 19]
