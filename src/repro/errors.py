@@ -94,6 +94,16 @@ class SimulationError(ReproError):
     """Internal discrete-event-simulation invariant violated."""
 
 
+class SessionError(ReproError, EOFError):
+    """A session-pool worker died while it owed a session a reply.
+
+    The message names the session's label, the step it was running and
+    the worker's exit code.  It is also an :class:`EOFError` — what the
+    dead pipe raised before — so handlers that treat a closed pipe as a
+    dead worker keep working.
+    """
+
+
 class SpawnSafetyError(ReproError):
     """A parallel task payload cannot survive the spawn start method.
 

@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from numpy.random import SeedSequence
 
-from repro.errors import SpawnSafetyError
+from repro.errors import SessionError, SpawnSafetyError
 
 
 def spawn_safety_violation(value: object) -> Optional[str]:
@@ -241,6 +241,11 @@ class SessionPool:
     session in the same order either way — results bit-identical to any
     other worker count.
 
+    A step that raises closes the pool and re-raises the step's
+    exception; a worker that dies (a crash, ``os._exit``) closes the
+    pool and raises :class:`~repro.errors.SessionError` naming the
+    session, the step and the worker's exit code.
+
     Use as a context manager, or call :meth:`close` explicitly.
     """
 
@@ -282,8 +287,8 @@ class SessionPool:
         # Ship every session's build spec to its owner, then collect the
         # acknowledgements — builds proceed concurrently across workers.
         for sid, spec in enumerate(specs):
-            self._conns[self._owner[sid]].send(("init", sid, spec))
-        self._collect(len(specs))
+            self._send(sid, ("init", sid, spec), "init")
+        self._collect(len(specs), "init")
 
     def __len__(self) -> int:
         return len(self._specs)
@@ -321,33 +326,55 @@ class SessionPool:
         if self.workers == 1:
             return [spec.fn(state, *spec.args)
                     for state, spec in zip(self._states, specs)]
+        step = specs[0].label
         for sid, spec in enumerate(specs):
-            self._conns[self._owner[sid]].send(("step", sid, spec))
-        return self._collect(count)
+            self._send(sid, ("step", sid, spec), step)
+        return self._collect(count, step)
 
-    def _collect(self, expected: int) -> list[Any]:
-        """Gather ``expected`` replies, restored to session order.
+    def _collect(self, expected: int, step: str) -> list[Any]:
+        """Gather ``expected`` replies to ``step``, in session order.
 
         Each worker answers its own messages in the order they were
         sent, so draining per-worker queues round-robin is deadlock-free
-        and deterministic.
+        and deterministic — and the reply a dead worker still owed names
+        the session it died under.
         """
         results: list[Any] = [None] * len(self._specs)
         pending = expected
-        per_worker = [0] * self.workers
-        for sid in range(len(self._specs)):
-            per_worker[self._owner[sid]] += 1
         for worker, conn in enumerate(self._conns):
-            for _ in range(per_worker[worker]):
+            for sid in range(worker, len(self._specs), self.workers):
                 if pending == 0:
                     break
-                sid, ok, payload = conn.recv()
+                try:
+                    got, ok, payload = conn.recv()
+                except (EOFError, OSError) as exc:
+                    raise self._worker_died(worker, sid, step) from exc
                 if not ok:
                     self.close()
                     raise payload
-                results[sid] = payload
+                results[got] = payload
                 pending -= 1
         return results
+
+    def _send(self, sid: int, message: tuple[Any, ...], step: str) -> None:
+        """Send one message to the worker that owns session ``sid``."""
+        worker = self._owner[sid]
+        try:
+            self._conns[worker].send(message)
+        except OSError as exc:
+            raise self._worker_died(worker, sid, step) from exc
+
+    def _worker_died(self, worker: int, sid: int,
+                     step: str) -> SessionError:
+        """Close the pool after a worker death; the error to raise."""
+        process = self._procs[worker]
+        process.join(timeout=5.0)
+        code = process.exitcode
+        label = self._specs[sid].label or f"session-{sid}"
+        self.close()
+        return SessionError(
+            f"session {label!r}: worker {worker} died during step "
+            f"{step!r} (exit code {code})")
 
     def close(self) -> None:
         """Stop every worker and drop the held states (idempotent)."""

@@ -22,8 +22,7 @@ metrics — lives here so the four schemes stay comparable.
 from __future__ import annotations
 
 import abc
-from bisect import bisect_right
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from repro.parity.xor import META_PAYLOAD, MetaParityCodec, ParityCodec
 from repro.sched.config import SchedulerConfig
 from repro.schemes import Scheme
 from repro.sched.plan import PlannedRead, ReadKind, ReadPurpose
+from repro.sched.rows import EpochRows
 from repro.units import mb_to_bytes
 from repro.sched.slots import SlotTable
 from repro.server.admission import fault_aware_capacity
@@ -57,6 +57,13 @@ from repro.server.metrics import (
     SimulationReport,
 )
 from repro.server.stream import Stream, StreamStatus
+
+#: Admission refusal codes (:meth:`CycleScheduler._object_verdict` and
+#: :meth:`CycleScheduler._admission_phase`); phases and rates are >= 0.
+_UNPLACED = -1
+_LOST_TRACKS = -2
+_BAD_RATE = -3
+_AT_CAPACITY = -4
 
 
 class GroupPlan:
@@ -287,30 +294,88 @@ class CycleScheduler(abc.ABC):
         """Capacity units in use: the rate-weighted active stream count."""
         return sum(s.rate for s in self.active_streams)
 
-    def _rate_of(self, obj: MediaObject) -> int:
-        """The object's bandwidth as a multiple of the server's base rate.
+    def _object_verdict(self, obj: MediaObject) -> int:
+        """Whether ``obj`` can be streamed at all: its rate, or a refusal.
 
-        Only (near-)integer multiples are schedulable on a fixed cycle —
-        the paper's MPEG-2-on-an-MPEG-1-server case is exactly 3x.
+        The object-level half of admission, independent of load: the
+        object must be placed, hold no tracks lost to a multiple-disk
+        failure, and need an integer multiple of the base rate (only
+        those are schedulable on a fixed cycle — the paper's
+        MPEG-2-on-an-MPEG-1-server case is exactly 3x).  Returns the
+        rate (>= 1) or a negative refusal code; batch callers compute it
+        once per object per batch or epoch.
         """
+        if not self.layout.has_object(obj.name):
+            return _UNPLACED
+        if self._known_lost_tracks.get(obj.name):
+            return _LOST_TRACKS
         ratio = obj.bandwidth_mb_s / self.config.params.object_bandwidth_mb_s
         rate = round(ratio)
         if rate < 1 or abs(ratio - rate) > 1e-6:
-            raise AdmissionError(
-                f"object {obj.name!r} needs {ratio:.3f}x the base rate; "
-                "only integer multiples are schedulable on this cycle"
-            )
+            return _BAD_RATE
         return rate
 
+    @staticmethod
+    def _admission_phase(verdict: int, phase_load: list[int],
+                         limit: int) -> int:
+        """The admission decision: a read phase, or a refusal code.
+
+        ``verdict`` is :meth:`_object_verdict`'s; ``sum(phase_load)``
+        *is* the rate-weighted active load.  The phase is the
+        least-loaded one, lowest index first: plain round-robin skews
+        once streams complete unevenly; balancing on the current load
+        keeps every cycle's read volume equal, which the staggered
+        capacity bound assumes.
+        """
+        if verdict < 0:
+            return verdict
+        if sum(phase_load) + verdict > limit:
+            return _AT_CAPACITY
+        return phase_load.index(min(phase_load))
+
+    def _refusal_message(self, obj: MediaObject, code: int,
+                         phase_load: list[int], limit: int) -> str:
+        """The :class:`AdmissionError` text for a refusal code."""
+        if code == _UNPLACED:
+            return f"object {obj.name!r} is not on disk"
+        if code == _LOST_TRACKS:
+            return (f"object {obj.name!r} has tracks lost to a "
+                    "multiple-disk failure; tertiary reload required")
+        if code == _BAD_RATE:
+            ratio = (obj.bandwidth_mb_s
+                     / self.config.params.object_bandwidth_mb_s)
+            return (f"object {obj.name!r} needs {ratio:.3f}x the base "
+                    "rate; only integer multiples are schedulable on "
+                    "this cycle")
+        return (f"at capacity: load {sum(phase_load)} of {limit} units, "
+                f"request needs {self._object_verdict(obj)}")
+
+    def _open_stream(self, obj: MediaObject, phase: int, rate: int,
+                     phase_load: list[int]) -> Stream:
+        """Create an admitted stream and charge its phase."""
+        self._phase_counter += 1
+        stream = Stream(self._next_stream_id, obj, self.cycle_index, phase,
+                        rate)
+        self._next_stream_id += 1
+        self.streams[stream.stream_id] = stream
+        phase_load[phase] += rate
+        return stream
+
     def admit(self, obj: MediaObject) -> Stream:
-        """Admit a new stream for ``obj`` (AdmissionError if at capacity).
+        """Admit a new stream for ``obj`` (AdmissionError if refused).
 
         Admission is rate-weighted: one MPEG-2 stream on an MPEG-1-cycled
         server consumes three capacity units (Section 1's "or some
         combination of the two").
         """
-        return self._admit_checked(obj, self._phase_loads(),
-                                   self.effective_admission_limit())
+        phase_load = self._phase_loads()
+        limit = self.effective_admission_limit()
+        verdict = self._object_verdict(obj)
+        phase = self._admission_phase(verdict, phase_load, limit)
+        if phase < 0:
+            raise AdmissionError(
+                self._refusal_message(obj, phase, phase_load, limit))
+        return self._open_stream(obj, phase, verdict, phase_load)
 
     def admit_batch(self, objects: list[MediaObject],
                     ) -> tuple[list[Stream], int]:
@@ -322,16 +387,33 @@ class CycleScheduler(abc.ABC):
         once and maintained incrementally instead of rebuilt per arrival
         — O(active + arrivals) for the whole batch.
         """
-        phase_load = self._phase_loads()
-        limit = self.effective_admission_limit()
+        return self._admit_objects(objects, self._phase_loads(),
+                                   self.effective_admission_limit(), {})
+
+    def _admit_objects(self, objects: Iterable[MediaObject],
+                       phase_load: list[int], limit: int,
+                       verdicts: dict[str, int],
+                       ) -> tuple[list[Stream], int]:
+        """Admit ``objects`` in order; returns ``(streams, refused)``.
+
+        The one admission loop behind :meth:`admit_batch` and the epoch
+        engine.  ``phase_load`` is updated in place; ``verdicts`` caches
+        :meth:`_object_verdict` by object name for the caller's batch or
+        epoch.  Refusals raise nothing.
+        """
         streams: list[Stream] = []
-        rejected = 0
+        refused = 0
         for obj in objects:
-            try:
-                streams.append(self._admit_checked(obj, phase_load, limit))
-            except AdmissionError:
-                rejected += 1
-        return streams, rejected
+            verdict = verdicts.get(obj.name)
+            if verdict is None:
+                verdict = verdicts[obj.name] = self._object_verdict(obj)
+            phase = self._admission_phase(verdict, phase_load, limit)
+            if phase < 0:
+                refused += 1
+            else:
+                streams.append(
+                    self._open_stream(obj, phase, verdict, phase_load))
+        return streams, refused
 
     def _phase_loads(self) -> list[int]:
         """Rate-weighted load per read phase over the active streams."""
@@ -341,47 +423,6 @@ class CycleScheduler(abc.ABC):
             if stream.is_active:
                 load[stream.phase % width] += stream.rate
         return load
-
-    def _admit_checked(self, obj: MediaObject, phase_load: list[int],
-                       limit: int) -> Stream:
-        """The admission decision against caller-supplied load state.
-
-        ``phase_load`` is updated in place on success so batch callers
-        can reuse it; ``sum(phase_load)`` *is* the rate-weighted active
-        load, which keeps single admissions on the same arithmetic.
-        """
-        if not self.layout.has_object(obj.name):
-            raise AdmissionError(f"object {obj.name!r} is not on disk")
-        if self._known_lost_tracks.get(obj.name):
-            raise AdmissionError(
-                f"object {obj.name!r} has tracks lost to a multiple-disk "
-                "failure; tertiary reload required"
-            )
-        rate = self._rate_of(obj)
-        load = sum(phase_load)
-        if load + rate > limit:
-            raise AdmissionError(
-                f"at capacity: load {load} of "
-                f"{limit} units, request needs {rate}"
-            )
-        # Least-loaded phase, lowest index first: plain round-robin skews
-        # once streams complete unevenly; balancing on the current load
-        # keeps every cycle's read volume equal, which the staggered
-        # capacity bound assumes.
-        width = len(phase_load)
-        phase = min(range(width), key=lambda p: (phase_load[p], p))
-        self._phase_counter += 1
-        stream = Stream(
-            stream_id=self._next_stream_id,
-            obj=obj,
-            admitted_cycle=self.cycle_index,
-            phase=phase,
-            rate=rate,
-        )
-        self._next_stream_id += 1
-        self.streams[stream.stream_id] = stream
-        phase_load[phase] += rate
-        return stream
 
     def terminate_stream(self, stream_id: int) -> None:
         """Drop a stream (degradation of service)."""
@@ -757,7 +798,7 @@ class CycleScheduler(abc.ABC):
         reports: list[CycleReport] = []
         remaining = count
         while remaining > 0:
-            remaining -= self._fast_forward(remaining, reports)
+            remaining -= self._fast_forward(remaining, reports)[0]
             if remaining > 0:
                 reports.append(self.run_cycle())
                 remaining -= 1
@@ -893,8 +934,11 @@ class CycleScheduler(abc.ABC):
         """Whether the *current* state allows a quiescent epoch at all."""
         return self._ff_classify()[0] == "healthy"
 
-    def _fast_forward(self, limit: int, reports: list[CycleReport],
-                      stop_on_completion: bool = False) -> int:
+    def _fast_forward(
+            self, limit: int, reports: list[CycleReport],
+            stop_on_completion: bool = False,
+            arrivals: Optional[dict[int, tuple[MediaObject, ...]]] = None,
+    ) -> tuple[int, int, int, bool]:
         """Advance up to ``limit`` fast-forwardable cycles.
 
         Each cycle is planned against scratch state first (per-disk
@@ -905,42 +949,49 @@ class CycleScheduler(abc.ABC):
         synthesized :class:`CycleReport` is recorded.  Stream buffers
         stay *virtual* during the epoch and are rematerialised (every
         payload is the metadata token) at the boundary, so the post-run
-        state is indistinguishable from a scalar run.  Returns the
-        number of cycles advanced (0 when no engine fits the state).
+        state is indistinguishable from a scalar run.
 
-        Healthy states run the quiescent engines: the vectorised path
-        for uniform rate-1 populations, the per-stream generic loop
-        otherwise.  A stable degraded state — any number of failed
-        disks in pairwise-disjoint parity groups, optionally with
-        online rebuilds in flight — runs the degraded epoch engine,
-        which folds reconstruction and rebuild traffic into the same
-        batched accounting and bails only on state *transitions*
-        (shared-group failure, rebuild completion, media error).  With
-        ``stop_on_completion`` every engine also ends its epoch right
-        after a cycle in which a stream completed, so drivers that
+        Rate-1 populations run the vectorised row engine
+        (:meth:`_fast_forward_rows`) in both of its modes: healthy, and
+        stable degraded — any number of failed disks in pairwise-disjoint
+        parity groups, optionally with online rebuilds in flight, which
+        folds reconstruction and rebuild traffic into the same batched
+        accounting and bails only on state *transitions* (shared-group
+        failure, rebuild completion, media error).  ``arrivals`` (absolute
+        cycle -> objects) are admitted in-engine.  A healthy mixed-rate
+        population runs the per-stream generic loop up to the next
+        arrival cycle.  With ``stop_on_completion`` the epoch also ends
+        right after a cycle in which a stream completed, so drivers that
         re-admit per completed object observe scalar admission timing.
+
+        Returns ``(cycles done, admitted, rejected, consumed)`` as
+        :meth:`_fast_forward_rows` does; all zeros when no engine fits
+        the state.
         """
         self._refresh_plan_cache()
         if limit <= 0:
-            return 0
+            return 0, 0, 0, False
         mode, reason = self._ff_classify()
         if mode is None:
             self._ff_note(reason)
-            return 0
+            return 0, 0, 0, False
         live = [s for s in self.streams.values() if s.is_active]
-        if mode == "degraded":
-            if not all(s.rate == 1 for s in live):
-                self._ff_note("mixed-rates")
-                return 0
-            return self._fast_forward_degraded(limit, live, reports,
-                                               stop_on_completion)[0]
-        if live and all(s.rate == 1 for s in live):
-            done = self._fast_forward_vector(limit, live, reports,
-                                             stop_on_completion)
-            if done >= 0:
-                return done
-        return self._fast_forward_generic(limit, live, reports,
-                                          stop_on_completion)
+        degraded = mode == "degraded"
+        if all(s.rate == 1 for s in live):
+            result = self._fast_forward_rows(limit, live, reports, degraded,
+                                             stop_on_completion, arrivals)
+            if result is not None:
+                return result
+            if degraded:
+                return 0, 0, 0, False
+        elif degraded:
+            self._ff_note("mixed-rates")
+            return 0, 0, 0, False
+        span = min((cycle - self.cycle_index
+                    for cycle, batch in (arrivals or {}).items()
+                    if batch and self.cycle_index <= cycle), default=limit)
+        return (self._fast_forward_generic(min(span, limit), live, reports,
+                                           stop_on_completion), 0, 0, False)
 
     def run_epoch(self, limit: int, stop_on_completion: bool = False) -> int:
         """Advance up to ``limit`` cycles on a fast-forward engine.
@@ -953,7 +1004,7 @@ class CycleScheduler(abc.ABC):
         :meth:`run_cycle`.
         """
         reports: list[CycleReport] = []
-        return self._fast_forward(limit, reports, stop_on_completion)
+        return self._fast_forward(limit, reports, stop_on_completion)[0]
 
     def _fast_forward_generic(self, limit: int, live: list[Stream],
                               reports: list[CycleReport],
@@ -1068,7 +1119,7 @@ class CycleScheduler(abc.ABC):
         return done
 
     def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
-        """Static read-gate parameters for the vector engine.
+        """Static read-gate parameters for the row engine.
 
         ``(pace_rate, pace_base, phase_mod, phase_val)``: in cycle ``c``
         the stream reads only if ``c % phase_mod == phase_val`` and (when
@@ -1111,7 +1162,7 @@ class CycleScheduler(abc.ABC):
     def _ff_read_table(self, obj: MediaObject,
                        ) -> Optional[tuple[np.ndarray, np.ndarray,
                                            np.ndarray, np.ndarray, int]]:
-        """Per-object read table for the vector engine, or None.
+        """Per-object read table for the row engine, or None.
 
         ``(cnt, ptr, disks, next_pointers, divisor)``: a stream whose
         read pointer is ``p`` (with ``p % divisor == 0`` for
@@ -1182,180 +1233,6 @@ class CycleScheduler(abc.ABC):
         self._ff_flat = flat
         self._ff_flat_names = names
         return flat
-
-    def _fast_forward_vector(self, limit: int, live: list[Stream],
-                             reports: list[CycleReport],
-                             stop_on_completion: bool = False) -> int:
-        """Vectorised quiescent engine for uniform rate-1 streams.
-
-        Stream state lives in numpy arrays for the whole epoch; each
-        cycle is a handful of whole-array operations (delivery quotas,
-        read-table gathers, a bincount for per-disk loads) with the same
-        stage-then-commit bail points as the generic loop.  Python-side
-        stream/disk/tracker objects are written back once, at the epoch
-        boundary.  Returns -1 when a scheme provides no read table (the
-        caller then runs the generic loop).
-        """
-        distinct: dict[str, int] = {}
-        objects: list[MediaObject] = []
-        for stream in live:
-            name = stream.object.name
-            if name not in distinct:
-                distinct[name] = len(objects)
-                objects.append(stream.object)
-        flat = self._ff_flat_tables(objects)
-        if flat is None:
-            return -1
-        counts, offsets, member_disks, next_pointers, pos_base, divisor = \
-            flat
-        n = len(live)
-        num_disks = len(self.array.disks)
-        slots = self.config.slots_per_disk
-        k_prime = self.config.k_prime
-        base_quota = self._base_quota
-        obj_base = np.fromiter(
-            (pos_base[distinct[s.object.name]] for s in live),
-            dtype=np.int64, count=n)
-        next_read = np.fromiter((s.next_read_track for s in live),
-                                dtype=np.int64, count=n)
-        next_del = np.fromiter((s.next_delivery_track for s in live),
-                               dtype=np.int64, count=n)
-        num_tracks = np.fromiter((s.num_tracks for s in live),
-                                 dtype=np.int64, count=n)
-        start = np.fromiter(
-            (-1 if s.delivery_start_cycle is None
-             else s.delivery_start_cycle for s in live),
-            dtype=np.int64, count=n)
-        quota = np.fromiter(
-            (k_prime * s.rate if base_quota
-             else self.deliveries_per_cycle(s) for s in live),
-            dtype=np.int64, count=n)
-        gates = [self._ff_gate_params(s) for s in live]
-        pace_rate = np.fromiter((g[0] for g in gates), dtype=np.int64,
-                                count=n)
-        pace_base = np.fromiter((g[1] for g in gates), dtype=np.int64,
-                                count=n)
-        phase_mod = np.fromiter((g[2] for g in gates), dtype=np.int64,
-                                count=n)
-        phase_val = np.fromiter((g[3] for g in gates), dtype=np.int64,
-                                count=n)
-        unpaced = pace_rate == 0
-        ungated = bool((phase_mod == 1).all())
-        admitted = np.fromiter(
-            (s.status is StreamStatus.ADMITTED for s in live),
-            dtype=bool, count=n)
-        live_mask = np.ones(n, dtype=bool)
-        deliv_delta = np.zeros(n, dtype=np.int64)
-        tracker = self.tracker
-        peak0 = np.fromiter(
-            (tracker.stream_peak(s.stream_id) for s in live),
-            dtype=np.int64, count=n)
-        peak = peak0.copy()
-        total_loads = np.zeros(num_disks, dtype=np.int64)
-        active = terminated = 0
-        for stream in self.streams.values():
-            if stream.status is StreamStatus.ACTIVE:
-                active += 1
-            elif stream.status is StreamStatus.TERMINATED:
-                terminated += 1
-        samples: list[int] = []
-        done = 0
-        bail: Optional[str] = None
-        while done < limit:
-            cycle = self.cycle_index
-            # -- stage (no mutation yet, so a bail leaves no trace) -------
-            started = live_mask & (start >= 0) & (start <= cycle)
-            due = np.where(started,
-                           np.minimum(quota, num_tracks - next_del), 0)
-            if bool((due > next_read - next_del).any()):
-                bail = "imminent-hiccup"  # go scalar
-                break
-            reading = live_mask & (next_read < num_tracks)
-            if not ungated:
-                reading &= (cycle % phase_mod) == phase_val
-            reading &= unpaced | (next_read
-                                  < (cycle + 1 - pace_base) * pace_rate)
-            if divisor > 1 \
-                    and bool((reading & (next_read % divisor != 0)).any()):
-                bail = "mid-group-pointer"  # the scalar path raises
-                break
-            idx = np.where(reading, obj_base + next_read // divisor, 0)
-            cnt = np.where(reading, counts[idx], 0)
-            planned_total = int(cnt.sum())
-            if planned_total:
-                r_idx = idx[reading]
-                r_cnt = counts[r_idx]
-                ends = np.cumsum(r_cnt)
-                within = np.arange(planned_total) \
-                    - np.repeat(ends - r_cnt, r_cnt)
-                disk_ids = member_disks[np.repeat(offsets[r_idx], r_cnt)
-                                        + within]
-                loads = np.bincount(disk_ids, minlength=num_disks)
-                if int(loads.max(initial=0)) > slots:
-                    bail = "slot-overflow"  # scalar drops / cascades
-                    break
-                total_loads += loads
-            # -- commit ---------------------------------------------------
-            newly = admitted & (due > 0)
-            if bool(newly.any()):
-                active += int(newly.sum())
-                admitted &= ~newly
-            first_read = (start < 0) & (cnt > 0)
-            if bool(first_read.any()):
-                start[first_read] = cycle + 1
-            next_del += due
-            deliv_delta += due
-            next_read = np.where(reading, next_pointers[idx], next_read)
-            finished = live_mask & (next_del >= num_tracks)
-            finished_any = bool(finished.any())
-            if finished_any:
-                active -= int(finished.sum())
-                live_mask &= ~finished
-            held = np.where(live_mask, next_read - next_del, 0)
-            np.maximum(peak, held, out=peak)
-            buffered = int(held.sum())
-            samples.append(buffered)
-            report = CycleReport(cycle=cycle)
-            report.reads_planned = planned_total
-            report.reads_executed = planned_total
-            report.tracks_delivered = int(due.sum())
-            report.streams_active = active
-            report.streams_terminated = terminated
-            report.buffered_tracks = buffered
-            reports.append(report)
-            self.report.record(report)
-            self.cycle_index = cycle + 1
-            done += 1
-            if stop_on_completion and finished_any:
-                bail = "stream-completed"
-                break
-        if done:
-            # -- write the epoch's state back to the Python objects -------
-            for i, stream in enumerate(live):
-                stream.next_read_track = int(next_read[i])
-                stream.next_delivery_track = int(next_del[i])
-                stream.delivered_tracks += int(deliv_delta[i])
-                if stream.delivery_start_cycle is None and start[i] >= 0:
-                    stream.delivery_start_cycle = int(start[i])
-                if stream.status is StreamStatus.ADMITTED \
-                        and not admitted[i]:
-                    stream.activate()
-                if live_mask[i]:
-                    stream.buffer = dict.fromkeys(
-                        range(stream.next_delivery_track,
-                              stream.next_read_track), META_PAYLOAD)
-                else:
-                    stream.complete()
-            raised = np.nonzero(peak > peak0)[0]
-            tracker.fold_epoch(
-                samples,
-                {live[int(i)].stream_id: int(peak[int(i)]) for i in raised})
-            disks = self.array.disks
-            for disk_id in np.nonzero(total_loads)[0]:
-                disks[int(disk_id)].reads += int(total_loads[disk_id])
-            self.report.ff_engaged_cycles += done
-        self._ff_note(bail)
-        return done
 
     # -- degraded-epoch fast-forward --------------------------------------------------
 
@@ -1545,193 +1422,151 @@ class CycleScheduler(abc.ABC):
         self._ff_deg_flat_names = names
         return flat
 
-    def _fast_forward_degraded(
+    def _ff_working_set(self, live: list[Stream], limit: int,
+                        arrivals: Optional[dict[int,
+                                                tuple[MediaObject, ...]]],
+                        verdicts: dict[str, int],
+                        ) -> tuple[list[MediaObject], int]:
+        """The objects an epoch's rows may read, and where it must stop.
+
+        Live streams' objects plus the object of every admissible
+        arrival in the window; an admissible arrival whose rate is not 1
+        cannot join the uniform rows, so the epoch must end *before* its
+        cycle.  Every arrival's :meth:`_object_verdict` lands in
+        ``verdicts`` for the in-engine admission to reuse.
+        """
+        objects: dict[str, MediaObject] = {}
+        for stream in live:
+            objects.setdefault(stream.object.name, stream.object)
+        start = self.cycle_index
+        end = stop = start + limit
+        for cycle, batch in (arrivals or {}).items():
+            if not start <= cycle < end:
+                continue
+            for obj in batch:
+                verdict = verdicts.get(obj.name)
+                if verdict is None:
+                    verdict = verdicts[obj.name] = self._object_verdict(obj)
+                if verdict < 0:
+                    continue  # refused in-engine
+                if verdict != 1:
+                    stop = min(stop, cycle)
+                    break
+                objects.setdefault(obj.name, obj)
+        return list(objects.values()), stop
+
+    def _fast_forward_rows(
             self, limit: int, live: list[Stream],
-            reports: list[CycleReport],
+            reports: list[CycleReport], degraded: bool,
             stop_on_completion: bool = False,
             arrivals: Optional[dict[int, tuple[MediaObject, ...]]] = None,
-    ) -> tuple[int, int, int, bool]:
-        """Vectorised epoch engine for stable degraded states, with churn.
+    ) -> Optional[tuple[int, int, int, bool]]:
+        """The vectorised epoch engine for rate-1 populations.
 
-        Handles any number of failed disks whose parity groups are
-        pairwise disjoint (:meth:`_ff_classify` proves disjointness via
-        the empty lost-track set): per-group reconstruction reads appear
-        as extra rows in the flat read tables (the parity-fallback disk
-        joins the group's member list), reconstruction commits are pure
-        arithmetic (a degraded group read always completes its rebuild
-        in the same cycle, since every survivor is resident by
-        construction), and every in-flight online rebuild advances as a
-        vectorised cursor fed with the cycle's idle slots — in scalar
-        rebuilder order, sharing one idle budget, exactly like
-        :meth:`_rebuild_phase`.
+        Stream state lives in an :class:`~repro.sched.rows.EpochRows`
+        store for the whole epoch; each cycle is a handful of
+        whole-array operations (delivery quotas, read-table gathers, a
+        bincount for per-disk loads) staged before anything is
+        committed, so a bail leaves no trace.  Python-side disk and
+        tracker objects are written back once, at the epoch boundary;
+        streams are written back as they retire or at the boundary.
+
+        With ``degraded`` the read tables are the degraded ones
+        (:meth:`_ff_degraded_flat_tables`): per-group reconstruction
+        reads appear as extra rows (the parity-fallback disk joins the
+        group's member list), reconstruction commits are pure arithmetic
+        (a degraded group read always completes its rebuild in the same
+        cycle, since every survivor is resident by construction), and
+        every in-flight online rebuild advances as a vectorised cursor
+        fed with the cycle's idle slots — in scalar rebuilder order,
+        sharing one idle budget, exactly like :meth:`_rebuild_phase`.
 
         With ``arrivals``, each arrival cycle admits its batch through
-        the *same* :meth:`_admit_checked` decision the scalar front
-        door uses — including degraded-capacity enforcement, since
-        :meth:`effective_admission_limit` is constant for the epoch
-        (every ``_capacity_penalty`` override is a pure function of
-        array/layout/degraded-cluster state, which only changes on the
-        transitions the engine bails on) — and accepted streams join
-        the row arrays in place at read pointer 0, which is trivially
+        the *same* decision the scalar front door uses
+        (:meth:`_admit_objects`) — including degraded-capacity
+        enforcement, since :meth:`effective_admission_limit` is constant
+        for the epoch (every ``_capacity_penalty`` override is a pure
+        function of array/layout/degraded-cluster state, which only
+        changes on the transitions the engine bails on) — and accepted
+        streams join the store at read pointer 0, which is trivially
         canonical (no parity held, no open accumulators).
 
-        The engine bails only on state transitions: a rebuild that
-        could complete, a stream crossing an unreconstructable
-        position, or the generic quiescence breaks (imminent hiccup,
-        slot overflow).  Cycle reports, disk loads, tracker samples and
-        per-stream peaks are bit-identical to the scalar path.
+        The engine bails on a rebuild that could complete, a stream
+        crossing an unreconstructable position, an imminent hiccup, a
+        mid-group pointer or a slot overflow.  Cycle reports, disk
+        loads, tracker samples and per-stream peaks are bit-identical to
+        the scalar path.
 
         Returns ``(cycles done, admitted, rejected, consumed)`` where
         ``consumed`` means the *current* cycle's arrivals were already
         admitted before a bail, so the scalar fallback must not
-        re-admit them.
+        re-admit them; None when the scheme has no read table.
         """
-        rows = list(live)
-        distinct: dict[str, int] = {}
-        objects: list[MediaObject] = []
-        for stream in rows:
-            name = stream.object.name
-            if name not in distinct:
-                distinct[name] = len(objects)
-                objects.append(stream.object)
-        start_cycle = self.cycle_index
-        end_cycle = start_cycle + limit
-        stop_cycle = end_cycle
-        cap = len(rows)
-        if arrivals:
-            # Working set: live objects plus every placed rate-1 arrival
-            # in the window.  A placed arrival whose rate is not 1
-            # cannot join the uniform row engine: the epoch must end
-            # *before* its cycle.
-            for cycle, batch in arrivals.items():
-                if not start_cycle <= cycle < end_cycle:
-                    continue
-                for obj in batch:
-                    if not self.layout.has_object(obj.name):
-                        continue  # _admit_checked rejects it in-engine
-                    try:
-                        rate = self._rate_of(obj)
-                    except AdmissionError:
-                        continue  # ditto
-                    if rate != 1:
-                        stop_cycle = min(stop_cycle, cycle)
-                        break
-                    cap += 1
-                    if obj.name not in distinct:
-                        distinct[obj.name] = len(objects)
-                        objects.append(obj)
-            if stop_cycle <= start_cycle:
-                return 0, 0, 0, False
-        if objects:
-            flat = self._ff_degraded_flat_tables(objects)
-            if flat is None:
-                self._ff_note("no-read-table")
-                return 0, 0, 0, False
-        else:
+        verdicts: dict[str, int] = {}
+        objects, stop_cycle = self._ff_working_set(live, limit, arrivals,
+                                                   verdicts)
+        if stop_cycle <= self.cycle_index:
+            return 0, 0, 0, False
+        if not objects:
+            # No live streams and no admissible arrivals: every batched
+            # request is a refusal and the cycles themselves are empty.
             zeros = np.zeros(0, dtype=np.int64)
-            flat = (zeros, np.zeros(1, dtype=np.int64), zeros, zeros,
-                    zeros, zeros, np.zeros(0, dtype=bool), zeros, zeros,
-                    zeros, [], [], {}, 1)
+            flat: Optional[tuple] = (
+                zeros, zeros, zeros, zeros, zeros, zeros,
+                np.zeros(0, dtype=bool), zeros, zeros, zeros, [], [], {}, 1)
+        elif degraded:
+            flat = self._ff_degraded_flat_tables(objects)
+        else:
+            healthy = self._ff_flat_tables(objects)
+            flat = None if healthy is None else (
+                healthy[0], healthy[1], healthy[2], healthy[3],
+                healthy[0], None, None, None, None, None, healthy[4],
+                healthy[4], None, healthy[5])
+        if flat is None:
+            if degraded:
+                self._ff_note("no-read-table")
+            return None
         (counts, offsets, member_disks, next_pointers, data_counts,
          parity_flags, valid, pheld, prel, acch, pos_base, ptr_base,
          deg_by_name, divisor) = flat
         stripe = self._stripe
-        # -- canonical-state entry checks: every stream must sit exactly
-        #    where the scalar degraded steady state would leave it ------
-        for stream in rows:
-            pairs = deg_by_name[stream.object.name]
-            pointer = stream.next_read_track
-            floor = stream.next_delivery_track // stripe
-            predicted = [g for g, acquired in pairs
-                         if acquired <= pointer and g >= floor]
-            if sorted(stream.parity_buffer) != predicted:
-                self._ff_note("stream-state")
-                return 0, 0, 0, False
-            if not self._ff_degraded_stream_ok(stream):
-                self._ff_note("stream-state")
-                return 0, 0, 0, False
         rebuilders = list(self.rebuilders)
-        for rebuilder in rebuilders:
-            if rebuilder.prepare_fast_plan() is None:
-                self._ff_note("rebuild-veto")
-                return 0, 0, 0, False
-        n = len(rows)
-        num_disks = len(self.array.disks)
-        slots = self.config.slots_per_disk
-        k_prime = self.config.k_prime
-        base_quota = self._base_quota
-        tracker = self.tracker
-        phase_load = self._phase_loads()
-        width = len(phase_load)
-        limit_units = self.effective_admission_limit()
-        # Row arrays over the window's worst-case population; rows past
-        # the current count are neutral (not live, not reading).
-        obj_base = np.zeros(cap, dtype=np.int64)
-        held_base = np.zeros(cap, dtype=np.int64)
-        next_read = np.zeros(cap, dtype=np.int64)
-        next_del = np.zeros(cap, dtype=np.int64)
-        num_tracks = np.zeros(cap, dtype=np.int64)
-        start = np.full(cap, -1, dtype=np.int64)
-        quota = np.zeros(cap, dtype=np.int64)
-        pace_rate = np.zeros(cap, dtype=np.int64)
-        pace_base = np.zeros(cap, dtype=np.int64)
-        phase_mod = np.ones(cap, dtype=np.int64)
-        phase_val = np.zeros(cap, dtype=np.int64)
-        unpaced = np.ones(cap, dtype=bool)
-        admitted_mask = np.zeros(cap, dtype=bool)
-        live_mask = np.zeros(cap, dtype=bool)
-        deliv_delta = np.zeros(cap, dtype=np.int64)
-        recon_delta = np.zeros(cap, dtype=np.int64)
-        peak0 = np.zeros(cap, dtype=np.int64)
-        obj_base[:n] = np.fromiter(
-            (pos_base[distinct[s.object.name]] for s in rows),
-            dtype=np.int64, count=n)
-        held_base[:n] = np.fromiter(
-            (ptr_base[distinct[s.object.name]] for s in rows),
-            dtype=np.int64, count=n)
-        next_read[:n] = np.fromiter((s.next_read_track for s in rows),
-                                    dtype=np.int64, count=n)
-        next_del[:n] = np.fromiter((s.next_delivery_track for s in rows),
-                                   dtype=np.int64, count=n)
-        num_tracks[:n] = np.fromiter((s.num_tracks for s in rows),
-                                     dtype=np.int64, count=n)
-        start[:n] = np.fromiter(
-            (-1 if s.delivery_start_cycle is None
-             else s.delivery_start_cycle for s in rows),
-            dtype=np.int64, count=n)
-        quota[:n] = np.fromiter(
-            (k_prime * s.rate if base_quota
-             else self.deliveries_per_cycle(s) for s in rows),
-            dtype=np.int64, count=n)
-        gates = [self._ff_gate_params(s) for s in rows]
-        pace_rate[:n] = np.fromiter((g[0] for g in gates), dtype=np.int64,
-                                    count=n)
-        pace_base[:n] = np.fromiter((g[1] for g in gates), dtype=np.int64,
-                                    count=n)
-        phase_mod[:n] = np.fromiter((g[2] for g in gates), dtype=np.int64,
-                                    count=n)
-        phase_val[:n] = np.fromiter((g[3] for g in gates), dtype=np.int64,
-                                    count=n)
-        unpaced[:n] = pace_rate[:n] == 0
-        ungated = bool((phase_mod == 1).all())
-        admitted_mask[:n] = np.fromiter(
-            (s.status is StreamStatus.ADMITTED for s in rows),
-            dtype=bool, count=n)
-        live_mask[:n] = True
-        peak0[:n] = np.fromiter(
-            (tracker.stream_peak(s.stream_id) for s in rows),
-            dtype=np.int64, count=n)
-        peak = peak0.copy()
-        total_loads = np.zeros(num_disks, dtype=np.int64)
-        failed_ids = np.asarray(self.array.failed_ids, dtype=np.int64)
+        if degraded:
+            # Canonical-state entry checks: every stream must sit
+            # exactly where the scalar degraded steady state leaves it.
+            for stream in live:
+                pointer = stream.next_read_track
+                floor = stream.next_delivery_track // stripe
+                predicted = [g for g, acquired in deg_by_name[
+                    stream.object.name] if acquired <= pointer
+                    and g >= floor]
+                if sorted(stream.parity_buffer) != predicted \
+                        or not self._ff_degraded_stream_ok(stream):
+                    self._ff_note("stream-state")
+                    return 0, 0, 0, False
+            for rebuilder in rebuilders:
+                if rebuilder.prepare_fast_plan() is None:
+                    self._ff_note("rebuild-veto")
+                    return 0, 0, 0, False
+        rows = EpochRows(
+            self, live,
+            {obj.name: (pos_base[i], ptr_base[i])
+             for i, obj in enumerate(objects)},
+            deg_by_name if degraded else None)
         # The shared pool must hold exactly the open accumulators' pages
         # (anything else is unmodelled transition state).
-        entry_open = int(np.where(live_mask, acch[held_base + next_read],
-                                  0).sum()) if cap else 0
-        if self._ff_degraded_pool_tracks(entry_open) \
+        if degraded and self._ff_degraded_pool_tracks(
+                int(acch[rows.held_base + rows.next_read].sum())) \
                 != self._extra_buffer_tracks():
             self._ff_note("pool-buffers")
             return 0, 0, 0, False
+        num_disks = len(self.array.disks)
+        slots = self.config.slots_per_disk
+        phase_load = self._phase_loads()
+        width = len(phase_load)
+        limit_units = self.effective_admission_limit()
+        total_loads = np.zeros(num_disks, dtype=np.int64)
+        failed_ids = np.asarray(self.array.failed_ids, dtype=np.int64)
         active = terminated = 0
         for stream in self.streams.values():
             if stream.status is StreamStatus.ACTIVE:
@@ -1739,8 +1574,7 @@ class CycleScheduler(abc.ABC):
             elif stream.status is StreamStatus.TERMINATED:
                 terminated += 1
         samples: list[int] = []
-        done = 0
-        admitted_n = rejected_n = 0
+        done = admitted_n = rejected_n = reconstructions = 0
         consumed = False
         bail: Optional[str] = None
         while done < limit and self.cycle_index < stop_cycle:
@@ -1759,49 +1593,16 @@ class CycleScheduler(abc.ABC):
             batch = arrivals.get(cycle) if arrivals else None
             if batch:
                 consumed = True
-                for obj in batch:
-                    try:
-                        stream = self._admit_checked(obj, phase_load,
-                                                     limit_units)
-                    except AdmissionError:
-                        rejected_n += 1
-                        continue
-                    admitted_n += 1
-                    i = len(rows)
-                    rows.append(stream)
-                    obj_base[i] = pos_base[distinct[obj.name]]
-                    held_base[i] = ptr_base[distinct[obj.name]]
-                    num_tracks[i] = stream.num_tracks
-                    quota[i] = (k_prime * stream.rate if base_quota
-                                else self.deliveries_per_cycle(stream))
-                    gate = self._ff_gate_params(stream)
-                    pace_rate[i], pace_base[i] = gate[0], gate[1]
-                    phase_mod[i], phase_val[i] = gate[2], gate[3]
-                    unpaced[i] = gate[0] == 0
-                    if gate[2] != 1:
-                        ungated = False
-                    admitted_mask[i] = True
-                    live_mask[i] = True
-                    peak0[i] = tracker.stream_peak(stream.stream_id)
-                    peak[i] = peak0[i]
+                fresh, refused = self._admit_objects(
+                    batch, phase_load, limit_units, verdicts)
+                admitted_n += len(fresh)
+                rejected_n += refused
+                rows.add(fresh)
             # -- stage (no mutation yet, so a bail leaves no trace) -------
-            started = live_mask & (start >= 0) & (start <= cycle)
-            due = np.where(started,
-                           np.minimum(quota, num_tracks - next_del), 0)
-            if bool((due > next_read - next_del).any()):
-                bail = "imminent-hiccup"
+            bail, due, reading, idx = rows.stage(cycle, divisor)
+            if bail is not None:
                 break
-            reading = live_mask & (next_read < num_tracks)
-            if not ungated:
-                reading &= (cycle % phase_mod) == phase_val
-            reading &= unpaced | (next_read
-                                  < (cycle + 1 - pace_base) * pace_rate)
-            if divisor > 1 \
-                    and bool((reading & (next_read % divisor != 0)).any()):
-                bail = "mid-group-pointer"
-                break
-            idx = np.where(reading, obj_base + next_read // divisor, 0)
-            if bool((reading & ~valid[idx]).any()):
+            if degraded and bool((reading & ~valid[idx]).any()):
                 bail = "unrecoverable-group"  # scalar sheds: transition
                 break
             cnt = np.where(reading, counts[idx], 0)
@@ -1817,35 +1618,27 @@ class CycleScheduler(abc.ABC):
                                         + within]
                 loads = np.bincount(disk_ids, minlength=num_disks)
                 if int(loads.max(initial=0)) > slots:
-                    bail = "slot-overflow"
+                    bail = "slot-overflow"  # scalar drops / cascades
                     break
                 total_loads += loads
-            recon_vec = np.where(reading, parity_flags[idx], 0)
-            parity_cycle = int(recon_vec.sum())
             # -- commit ---------------------------------------------------
-            recon_delta += recon_vec
-            newly = admitted_mask & (due > 0)
-            if bool(newly.any()):
-                active += int(newly.sum())
-                admitted_mask &= ~newly
-            # Parity fetches never start the delivery clock: only a
-            # cycle with at least one *data* read does.
-            first_read = (start < 0) \
-                & (np.where(reading, data_counts[idx], 0) > 0)
-            if bool(first_read.any()):
-                start[first_read] = cycle + 1
-            next_del += due
-            deliv_delta += due
-            next_read = np.where(reading, next_pointers[idx], next_read)
-            finished = live_mask & (next_del >= num_tracks)
-            finished_any = bool(finished.any())
-            if finished_any:
-                active -= int(finished.sum())
-                live_mask &= ~finished
+            parity_cycle = 0
+            if degraded:
+                recon = np.where(reading, parity_flags[idx], 0)
+                parity_cycle = int(recon.sum())
+                if parity_cycle:
+                    rows.recon += recon
+                # Parity fetches never start the delivery clock: only a
+                # cycle with at least one *data* read does.
+                cnt = np.where(reading, data_counts[idx], 0)
+            began, finished = rows.commit(cycle, due, reading, idx, cnt,
+                                          next_pointers)
+            active += began - len(finished)
+            streams = rows.streams
+            for i in finished.tolist():
                 # Completed rows free their capacity for later batches.
-                for i in np.nonzero(finished)[0]:
-                    row = rows[int(i)]
-                    phase_load[row.phase % width] -= row.rate
+                stream = streams[i]
+                phase_load[stream.phase % width] -= stream.rate
             # -- rebuild: lowest priority, idle slots only ----------------
             blocks = 0
             if rebuilders:
@@ -1855,64 +1648,43 @@ class CycleScheduler(abc.ABC):
                 idle[failed_ids] = 0
                 for rebuilder in rebuilders:
                     blocks += rebuilder.fast_step(idle, total_loads)
-            pointer_idx = held_base + next_read
-            acc_open = np.where(live_mask, acch[pointer_idx], 0)
-            held = np.where(live_mask,
-                            next_read - next_del + pheld[pointer_idx]
-                            - prel[held_base + next_del] + acc_open, 0)
-            np.maximum(peak, held, out=peak)
-            pool_now = self._ff_degraded_pool_tracks(int(acc_open.sum()))
+            held = rows.next_read - rows.next_del
+            pool_now = 0
+            if degraded:
+                pointer_idx = rows.held_base + rows.next_read
+                acc_open = np.where(rows.live, acch[pointer_idx], 0)
+                held += pheld[pointer_idx] + acc_open \
+                    - prel[rows.held_base + rows.next_del]
+                pool_now = self._ff_degraded_pool_tracks(
+                    int(acc_open.sum()))
+            held = np.where(rows.live, held, 0)
+            np.maximum(rows.peak, held, out=rows.peak)
             buffered = int(held.sum()) + pool_now
             samples.append(buffered)
-            report = CycleReport(cycle=cycle)
-            report.reads_planned = planned_total
-            report.reads_executed = planned_total
-            report.parity_reads = parity_cycle
-            report.reconstructions = parity_cycle
-            report.blocks_rebuilt = blocks
-            report.tracks_delivered = int(due.sum())
-            report.streams_active = active
-            report.streams_terminated = terminated
-            report.buffered_tracks = buffered
-            report.pool_tracks_in_use = pool_now
+            report = CycleReport(
+                cycle=cycle, reads_planned=planned_total,
+                reads_executed=planned_total, parity_reads=parity_cycle,
+                tracks_delivered=int(due.sum()),
+                reconstructions=parity_cycle, blocks_rebuilt=blocks,
+                buffered_tracks=buffered, pool_tracks_in_use=pool_now,
+                streams_active=active, streams_terminated=terminated)
             reports.append(report)
             self.report.record(report)
             self.cycle_index = cycle + 1
             done += 1
+            reconstructions += parity_cycle
             consumed = False
-            if stop_on_completion and finished_any:
-                bail = "stream-completed"
-                break
-        if done or len(rows) > n:
+            if len(finished):
+                rows.retire(finished)
+                if stop_on_completion:
+                    bail = "stream-completed"
+                    break
+        if done or admitted_n:
             # -- write the epoch's state back to the Python objects -------
-            for i, stream in enumerate(rows):
-                stream.next_read_track = int(next_read[i])
-                stream.next_delivery_track = int(next_del[i])
-                stream.delivered_tracks += int(deliv_delta[i])
-                stream.reconstructed_tracks += int(recon_delta[i])
-                if stream.delivery_start_cycle is None and start[i] >= 0:
-                    stream.delivery_start_cycle = int(start[i])
-                if stream.status is StreamStatus.ADMITTED \
-                        and not admitted_mask[i]:
-                    stream.activate()
-                if live_mask[i]:
-                    stream.buffer = dict.fromkeys(
-                        range(stream.next_delivery_track,
-                              stream.next_read_track), META_PAYLOAD)
-                    pairs = deg_by_name[stream.object.name]
-                    pointer = stream.next_read_track
-                    floor = stream.next_delivery_track // stripe
-                    stream.parity_buffer = {
-                        g: META_PAYLOAD for g, acquired in pairs
-                        if acquired <= pointer and g >= floor}
-                else:
-                    stream.complete()
-                self._ff_degraded_sync_stream(stream)
-            self._ff_degraded_credit(int(recon_delta.sum()))
-            raised = np.nonzero(peak > peak0)[0]
-            tracker.fold_epoch(
-                samples,
-                {rows[int(i)].stream_id: int(peak[int(i)]) for i in raised})
+            peaks = rows.close()
+            if degraded:
+                self._ff_degraded_credit(reconstructions)
+            self.tracker.fold_epoch(samples, peaks)
             disks = self.array.disks
             for disk_id in np.nonzero(total_loads)[0]:
                 disks[int(disk_id)].reads += int(total_loads[disk_id])
@@ -1931,7 +1703,7 @@ class CycleScheduler(abc.ABC):
         ``arrivals`` maps *absolute* cycle indices to the objects
         requested in that cycle.  With ``fast_forward`` on, quiescent
         stretches — including the arrival cycles themselves — run on the
-        churn engine (:meth:`_fast_forward_churn`), which admits batches
+        row engine (:meth:`_fast_forward_rows`), which admits batches
         in-engine instead of ending the epoch at every arrival; anything
         the engine cannot prove quiescent falls back to the scalar cycle
         with :meth:`admit_batch` at the front door.  Results are
@@ -1941,324 +1713,23 @@ class CycleScheduler(abc.ABC):
         reports: list[CycleReport] = []
         admitted = rejected = 0
         end = self.cycle_index + count
-        arrival_cycles = sorted(arrivals) if fast_forward else []
-        consumed = False
         while self.cycle_index < end:
+            consumed = False
             if fast_forward:
-                _done, a, r, consumed = self._fast_forward_churn(
-                    end - self.cycle_index, arrivals, reports)
+                _done, a, r, consumed = self._fast_forward(
+                    end - self.cycle_index, reports, arrivals=arrivals)
                 admitted += a
                 rejected += r
                 if self.cycle_index >= end:
                     break
-                if not consumed and not arrivals.get(self.cycle_index):
-                    # The churn engine models healthy and stable-degraded
-                    # rate-1 populations; a mixed-rate stretch between
-                    # arrival cycles can still ride the generic epoch
-                    # engine up to the next arrival boundary.
-                    pos = bisect_right(arrival_cycles, self.cycle_index)
-                    boundary = (arrival_cycles[pos]
-                                if pos < len(arrival_cycles)
-                                and arrival_cycles[pos] < end
-                                else end)
-                    if self._fast_forward(boundary - self.cycle_index,
-                                          reports):
-                        continue
             if not consumed:
-                a, r = self._admit_cycle_arrivals(arrivals)
-                admitted += a
-                rejected += r
-            consumed = False
+                batch = arrivals.get(self.cycle_index)
+                if batch:
+                    streams, refused = self.admit_batch(list(batch))
+                    admitted += len(streams)
+                    rejected += refused
             reports.append(self.run_cycle())
         return reports, admitted, rejected
-
-    def _admit_cycle_arrivals(self, arrivals: dict[int, tuple[MediaObject,
-                                                              ...]],
-                              ) -> tuple[int, int]:
-        """Batch-admit the current cycle's arrivals (scalar fallback)."""
-        batch = arrivals.get(self.cycle_index)
-        if not batch:
-            return 0, 0
-        streams, rejected = self.admit_batch(list(batch))
-        return len(streams), rejected
-
-    def _fast_forward_churn(self, limit: int,
-                            arrivals: dict[int, tuple[MediaObject, ...]],
-                            reports: list[CycleReport],
-                            ) -> tuple[int, int, int, bool]:
-        """The vector engine extended with in-engine batch admission.
-
-        Stream rows live in preallocated numpy arrays sized for the
-        window's worst case; each arrival cycle admits its batch through
-        the *same* :meth:`_admit_checked` decision the scalar front door
-        uses (so acceptance, phase assignment, stream ids, and error
-        accounting are identical by construction) and the accepted
-        streams join the arrays in place — no epoch break, no table
-        rebuild.  Returns ``(cycles done, admitted, rejected,
-        consumed)`` where ``consumed`` means the *current* cycle's
-        arrivals were already admitted before a bail, so the scalar
-        fallback must not re-admit them.
-        """
-        self._refresh_plan_cache()
-        if limit <= 0:
-            return 0, 0, 0, False
-        mode, reason = self._ff_classify()
-        if mode is None:
-            self._ff_note(reason)
-            return 0, 0, 0, False
-        rows = [s for s in self.streams.values() if s.is_active]
-        if any(s.rate != 1 for s in rows):
-            self._ff_note("mixed-rates")
-            return 0, 0, 0, False
-        if mode == "degraded":
-            # Stable degraded state under churn: the merged engine
-            # absorbs arrivals in-epoch with reconstruction rows and
-            # rebuild cursors in the same batched accounting.
-            return self._fast_forward_degraded(limit, rows, reports,
-                                               arrivals=arrivals)
-        start_cycle = self.cycle_index
-        end_cycle = start_cycle + limit
-        # Working set: live objects plus every placed rate-1 arrival in
-        # the window.  A placed arrival whose rate is not 1 cannot join
-        # the uniform row engine: the epoch must end *before* its cycle.
-        distinct: dict[str, int] = {}
-        objects: list[MediaObject] = []
-        for stream in rows:
-            name = stream.object.name
-            if name not in distinct:
-                distinct[name] = len(objects)
-                objects.append(stream.object)
-        stop_cycle = end_cycle
-        cap = len(rows)
-        for cycle, batch in arrivals.items():
-            if not start_cycle <= cycle < end_cycle:
-                continue
-            for obj in batch:
-                if not self.layout.has_object(obj.name):
-                    continue  # _admit_checked rejects it in-engine
-                try:
-                    rate = self._rate_of(obj)
-                except AdmissionError:
-                    continue  # ditto
-                if rate != 1:
-                    stop_cycle = min(stop_cycle, cycle)
-                    break
-                cap += 1
-                if obj.name not in distinct:
-                    distinct[obj.name] = len(objects)
-                    objects.append(obj)
-        if stop_cycle <= start_cycle:
-            return 0, 0, 0, False
-        if objects:
-            flat = self._ff_flat_tables(objects)
-            if flat is None:
-                return 0, 0, 0, False
-        else:
-            # No live streams and no admittable arrivals in the window:
-            # every batched request below is a guaranteed rejection, and
-            # the cycles themselves are empty.
-            flat = (np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                    [], 1)
-        counts, offsets, member_disks, next_pointers, pos_base, divisor = \
-            flat
-        n = len(rows)
-        num_disks = len(self.array.disks)
-        slots = self.config.slots_per_disk
-        k_prime = self.config.k_prime
-        base_quota = self._base_quota
-        tracker = self.tracker
-        phase_load = self._phase_loads()
-        width = len(phase_load)
-        limit_units = self.effective_admission_limit()
-        # Row arrays over the window's worst-case population; rows past
-        # the current count are neutral (not live, not reading).
-        obj_base = np.zeros(cap, dtype=np.int64)
-        next_read = np.zeros(cap, dtype=np.int64)
-        next_del = np.zeros(cap, dtype=np.int64)
-        num_tracks = np.zeros(cap, dtype=np.int64)
-        start = np.full(cap, -1, dtype=np.int64)
-        quota = np.zeros(cap, dtype=np.int64)
-        pace_rate = np.zeros(cap, dtype=np.int64)
-        pace_base = np.zeros(cap, dtype=np.int64)
-        phase_mod = np.ones(cap, dtype=np.int64)
-        phase_val = np.zeros(cap, dtype=np.int64)
-        unpaced = np.ones(cap, dtype=bool)
-        admitted_mask = np.zeros(cap, dtype=bool)
-        live_mask = np.zeros(cap, dtype=bool)
-        deliv_delta = np.zeros(cap, dtype=np.int64)
-        peak0 = np.zeros(cap, dtype=np.int64)
-        obj_base[:n] = np.fromiter(
-            (pos_base[distinct[s.object.name]] for s in rows),
-            dtype=np.int64, count=n)
-        next_read[:n] = np.fromiter((s.next_read_track for s in rows),
-                                    dtype=np.int64, count=n)
-        next_del[:n] = np.fromiter((s.next_delivery_track for s in rows),
-                                   dtype=np.int64, count=n)
-        num_tracks[:n] = np.fromiter((s.num_tracks for s in rows),
-                                     dtype=np.int64, count=n)
-        start[:n] = np.fromiter(
-            (-1 if s.delivery_start_cycle is None
-             else s.delivery_start_cycle for s in rows),
-            dtype=np.int64, count=n)
-        quota[:n] = np.fromiter(
-            (k_prime * s.rate if base_quota
-             else self.deliveries_per_cycle(s) for s in rows),
-            dtype=np.int64, count=n)
-        gates = [self._ff_gate_params(s) for s in rows]
-        pace_rate[:n] = np.fromiter((g[0] for g in gates), dtype=np.int64,
-                                    count=n)
-        pace_base[:n] = np.fromiter((g[1] for g in gates), dtype=np.int64,
-                                    count=n)
-        phase_mod[:n] = np.fromiter((g[2] for g in gates), dtype=np.int64,
-                                    count=n)
-        phase_val[:n] = np.fromiter((g[3] for g in gates), dtype=np.int64,
-                                    count=n)
-        unpaced[:n] = pace_rate[:n] == 0
-        ungated = bool((phase_mod == 1).all())
-        admitted_mask[:n] = np.fromiter(
-            (s.status is StreamStatus.ADMITTED for s in rows),
-            dtype=bool, count=n)
-        live_mask[:n] = True
-        peak0[:n] = np.fromiter(
-            (tracker.stream_peak(s.stream_id) for s in rows),
-            dtype=np.int64, count=n)
-        peak = peak0.copy()
-        total_loads = np.zeros(num_disks, dtype=np.int64)
-        active = terminated = 0
-        for stream in self.streams.values():
-            if stream.status is StreamStatus.ACTIVE:
-                active += 1
-            elif stream.status is StreamStatus.TERMINATED:
-                terminated += 1
-        samples: list[int] = []
-        done = 0
-        admitted_n = rejected_n = 0
-        bailed = False
-        while done < limit and self.cycle_index < stop_cycle:
-            cycle = self.cycle_index
-            # -- admit this cycle's batch through the scalar decision -----
-            batch = arrivals.get(cycle)
-            if batch:
-                for obj in batch:
-                    try:
-                        stream = self._admit_checked(obj, phase_load,
-                                                     limit_units)
-                    except AdmissionError:
-                        rejected_n += 1
-                        continue
-                    admitted_n += 1
-                    i = len(rows)
-                    rows.append(stream)
-                    obj_base[i] = pos_base[distinct[obj.name]]
-                    num_tracks[i] = stream.num_tracks
-                    quota[i] = (k_prime * stream.rate if base_quota
-                                else self.deliveries_per_cycle(stream))
-                    gate = self._ff_gate_params(stream)
-                    pace_rate[i], pace_base[i] = gate[0], gate[1]
-                    phase_mod[i], phase_val[i] = gate[2], gate[3]
-                    unpaced[i] = gate[0] == 0
-                    if gate[2] != 1:
-                        ungated = False
-                    admitted_mask[i] = True
-                    live_mask[i] = True
-                    peak0[i] = tracker.stream_peak(stream.stream_id)
-                    peak[i] = peak0[i]
-            # -- stage (no mutation yet, so a bail leaves no trace) -------
-            started = live_mask & (start >= 0) & (start <= cycle)
-            due = np.where(started,
-                           np.minimum(quota, num_tracks - next_del), 0)
-            if bool((due > next_read - next_del).any()):
-                bailed = True  # an imminent hiccup: go scalar
-                self._ff_note("imminent-hiccup")
-                break
-            reading = live_mask & (next_read < num_tracks)
-            if not ungated:
-                reading &= (cycle % phase_mod) == phase_val
-            reading &= unpaced | (next_read
-                                  < (cycle + 1 - pace_base) * pace_rate)
-            if divisor > 1 \
-                    and bool((reading & (next_read % divisor != 0)).any()):
-                bailed = True  # mid-group pointer: the scalar path raises
-                self._ff_note("mid-group-pointer")
-                break
-            idx = np.where(reading, obj_base + next_read // divisor, 0)
-            cnt = np.where(reading, counts[idx], 0)
-            planned_total = int(cnt.sum())
-            if planned_total:
-                r_idx = idx[reading]
-                r_cnt = counts[r_idx]
-                ends = np.cumsum(r_cnt)
-                within = np.arange(planned_total) \
-                    - np.repeat(ends - r_cnt, r_cnt)
-                disk_ids = member_disks[np.repeat(offsets[r_idx], r_cnt)
-                                        + within]
-                loads = np.bincount(disk_ids, minlength=num_disks)
-                if int(loads.max(initial=0)) > slots:
-                    bailed = True  # slot overflow: scalar drops / cascades
-                    self._ff_note("slot-overflow")
-                    break
-                total_loads += loads
-            # -- commit ---------------------------------------------------
-            newly = admitted_mask & (due > 0)
-            if bool(newly.any()):
-                active += int(newly.sum())
-                admitted_mask &= ~newly
-            first_read = (start < 0) & (cnt > 0)
-            if bool(first_read.any()):
-                start[first_read] = cycle + 1
-            next_del += due
-            deliv_delta += due
-            next_read = np.where(reading, next_pointers[idx], next_read)
-            finished = live_mask & (next_del >= num_tracks)
-            if bool(finished.any()):
-                active -= int(finished.sum())
-                live_mask &= ~finished
-                # Completed rows free their capacity for later batches.
-                for i in np.nonzero(finished)[0]:
-                    row = rows[int(i)]
-                    phase_load[row.phase % width] -= row.rate
-            held = np.where(live_mask, next_read - next_del, 0)
-            np.maximum(peak, held, out=peak)
-            buffered = int(held.sum())
-            samples.append(buffered)
-            report = CycleReport(cycle=cycle)
-            report.reads_planned = planned_total
-            report.reads_executed = planned_total
-            report.tracks_delivered = int(due.sum())
-            report.streams_active = active
-            report.streams_terminated = terminated
-            report.buffered_tracks = buffered
-            reports.append(report)
-            self.report.record(report)
-            self.cycle_index = cycle + 1
-            done += 1
-        if done or len(rows) > n:
-            # -- write the epoch's state back to the Python objects -------
-            for i, stream in enumerate(rows):
-                stream.next_read_track = int(next_read[i])
-                stream.next_delivery_track = int(next_del[i])
-                stream.delivered_tracks += int(deliv_delta[i])
-                if stream.delivery_start_cycle is None and start[i] >= 0:
-                    stream.delivery_start_cycle = int(start[i])
-                if stream.status is StreamStatus.ADMITTED \
-                        and not admitted_mask[i]:
-                    stream.activate()
-                if live_mask[i]:
-                    stream.buffer = dict.fromkeys(
-                        range(stream.next_delivery_track,
-                              stream.next_read_track), META_PAYLOAD)
-                else:
-                    stream.complete()
-            raised = np.nonzero(peak > peak0)[0]
-            tracker.fold_epoch(
-                samples,
-                {rows[int(i)].stream_id: int(peak[int(i)]) for i in raised})
-            disks = self.array.disks
-            for disk_id in np.nonzero(total_loads)[0]:
-                disks[int(disk_id)].reads += int(total_loads[disk_id])
-            self.report.ff_engaged_cycles += done
-        return done, admitted_n, rejected_n, bailed
 
     # -- phases ------------------------------------------------------------------------
 

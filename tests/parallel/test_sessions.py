@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.errors import SpawnSafetyError
+from repro.errors import ReproError, SessionError, SpawnSafetyError
 from repro.parallel import SessionPool, TaskSpec
 
 
@@ -26,6 +28,13 @@ def read_steps(state: dict) -> int:
 
 def explode(state: dict) -> int:
     raise RuntimeError("session step failed")
+
+
+def exit_in_session_one(state: dict) -> int:
+    """Session step: the worker holding session 1 dies mid-step."""
+    if state["value"] == 10:
+        os._exit(3)
+    return state["value"]
 
 
 def counter_sessions(count: int) -> list[TaskSpec]:
@@ -67,6 +76,24 @@ def test_step_error_closes_pool_and_raises() -> None:
     with pytest.raises(RuntimeError, match="session step failed"):
         pool.step_all(explode)
     # The pool shut itself down; further steps are refused.
+    with pytest.raises(RuntimeError, match="closed"):
+        pool.step_all(bump, args=[(1,), (1,)])
+
+
+def test_dead_worker_raises_named_session_error() -> None:
+    pool = SessionPool(counter_sessions(2), workers=2)
+    workers = list(pool._procs)
+    with pytest.raises(SessionError) as raised:
+        pool.step_all(exit_in_session_one, label="crash-step")
+    message = str(raised.value)
+    assert "'s1'" in message
+    assert "'crash-step'" in message
+    assert "exit code 3" in message
+    # Still an EOFError, so dead-pipe handlers keep catching it.
+    assert isinstance(raised.value, EOFError)
+    assert isinstance(raised.value, ReproError)
+    # The pool closed every other worker and refuses further steps.
+    assert not any(process.is_alive() for process in workers)
     with pytest.raises(RuntimeError, match="closed"):
         pool.step_all(bump, args=[(1,), (1,)])
 

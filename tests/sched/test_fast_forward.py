@@ -15,6 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.injector import FaultSchedule
+from repro.media import Catalog, MediaObject
+from repro.sched.base import CycleScheduler
+from repro.sched.rows import EpochRows
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.server import MultimediaServer
 from tests.conftest import build_server, tiny_catalog
@@ -329,3 +332,133 @@ def test_disengagement_reasons_are_tallied() -> None:
     server.run_cycles(5, fast_forward=True)
     assert server.report.ff_engaged_cycles == 0
     assert server.report.ff_disengagements.get("payload-mode", 0) > 0
+
+
+# -- the row store's boundaries --------------------------------------------------
+
+
+def watch_store(monkeypatch: pytest.MonkeyPatch) -> list[tuple]:
+    """Record the row store's boundary events during fast runs.
+
+    Each event names its epoch (one per row-engine entry) and the cycle
+    it belongs to: ``("grow", epoch, cycle)`` when an admitted batch
+    outgrows the store, ``("retire", epoch, cycle)`` when rows complete,
+    ``("compact", epoch, cycle, degraded, rebuilders)`` when retired
+    rows are written back and squeezed out, and ``("bail", epoch,
+    cycle, reason)`` for an in-engine bail at ``cycle``.
+    """
+    events: list[tuple] = []
+    epoch = {"count": 0, "open": False}
+    engine = CycleScheduler._fast_forward_rows
+    note = CycleScheduler._ff_note
+    grow = EpochRows._grow
+    retire = EpochRows.retire
+    compact = EpochRows._compact
+
+    def traced_engine(self, *args, **kwargs):
+        epoch["count"] += 1
+        epoch["open"] = True
+        try:
+            return engine(self, *args, **kwargs)
+        finally:
+            epoch["open"] = False
+
+    def traced_note(self, reason):
+        if reason is not None and epoch["open"]:
+            events.append(("bail", epoch["count"], self.cycle_index,
+                           reason))
+        note(self, reason)
+
+    def traced_grow(self, cap):
+        events.append(("grow", epoch["count"],
+                       self._scheduler.cycle_index))
+        grow(self, cap)
+
+    def traced_retire(self, finished):
+        events.append(("retire", epoch["count"],
+                       self._scheduler.cycle_index - 1))
+        retire(self, finished)
+
+    def traced_compact(self):
+        scheduler = self._scheduler
+        events.append(("compact", epoch["count"], scheduler.cycle_index - 1,
+                       self._deg_pairs is not None,
+                       len(scheduler.rebuilders)))
+        compact(self)
+
+    monkeypatch.setattr(CycleScheduler, "_fast_forward_rows",
+                        traced_engine)
+    monkeypatch.setattr(CycleScheduler, "_ff_note", traced_note)
+    monkeypatch.setattr(EpochRows, "_grow", traced_grow)
+    monkeypatch.setattr(EpochRows, "retire", traced_retire)
+    monkeypatch.setattr(EpochRows, "_compact", traced_compact)
+    return events
+
+
+def bails_after_compaction(events: list[tuple]) -> set[str]:
+    """In-engine bail reasons raised on the cycle right after one of
+    the same epoch's compactions."""
+    compacted = {(e[1], e[2] + 1) for e in events if e[0] == "compact"}
+    return {e[3] for e in events
+            if e[0] == "bail" and (e[1], e[2]) in compacted}
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_stop_on_completion_after_compaction_matches_scalar(
+        scheme: Scheme, monkeypatch: pytest.MonkeyPatch) -> None:
+    """Chaos-style driving: epochs end right after a completion (whose
+    row was just compacted away) and a replacement is admitted."""
+    events = watch_store(monkeypatch)
+    results = []
+    for fast_forward in (False, True):
+        server = _scheme_server(scheme, catalog=tiny_catalog(4, tracks=8))
+        names = server.catalog.names()
+        for name in names[:2]:
+            server.admit(name)
+        reports = []
+        scheduler = server.scheduler
+        while scheduler.cycle_index < CYCLES:
+            done = set(s.stream_id for s in scheduler.streams.values()
+                       if not s.is_active)
+            advanced = (scheduler.run_epoch(CYCLES - scheduler.cycle_index,
+                                            stop_on_completion=True)
+                        if fast_forward else 0)
+            if not advanced:
+                reports.append(scheduler.run_cycle())
+            for stream in list(scheduler.streams.values()):
+                if not stream.is_active and stream.stream_id not in done:
+                    server.admit(names[(stream.stream_id + 2)
+                                       % len(names)])
+        results.append(_fingerprint(server, reports))
+    assert results[0][:-1] == results[1][:-1]
+    assert any(e[0] == "compact" for e in events)
+    assert "stream-completed" in bails_after_compaction(events)
+
+
+def test_imminent_hiccup_after_compaction_matches_scalar(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    """A starved stream bails the epoch on the cycle after a compaction.
+
+    No admission path misaligns a stream's read phase, so the test
+    shifts one by hand: the long SG stream's next group read moves one
+    cycle late, its buffer runs dry at cycle 5, and the short stream
+    completes (and is compacted away) at cycle 4.
+    """
+    events = watch_store(monkeypatch)
+    catalog = Catalog()
+    catalog.add(MediaObject("long", 0.1875, 8, seed=1))
+    catalog.add(MediaObject("short", 0.1875, 3, seed=2))
+    results = []
+    for fast_forward in (False, True):
+        server = _scheme_server(Scheme.STAGGERED_GROUP, catalog=catalog)
+        starved = server.admit("long")
+        server.admit("short")
+        reports = server.run_cycles(2, fast_forward=fast_forward)
+        starved.phase = (starved.phase + 1) \
+            % server.scheduler.config.stripe_width
+        reports += server.run_cycles(10, fast_forward=fast_forward)
+        results.append(_fingerprint(server, reports))
+        assert server.report.total_hiccups > 0
+    assert results[0] == results[1]
+    assert "imminent-hiccup" in bails_after_compaction(events)

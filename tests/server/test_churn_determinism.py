@@ -17,7 +17,11 @@ from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.server import MultimediaServer, WorkloadResult
 from repro.workload import WorkloadGenerator, compile_trace
 from tests.conftest import build_server, tiny_catalog
-from tests.sched.test_fast_forward import _fingerprint
+from tests.sched.test_fast_forward import (
+    _fingerprint,
+    bails_after_compaction,
+    watch_store,
+)
 
 CYCLES = 60
 HORIZON_CYCLES = 40
@@ -101,13 +105,16 @@ def _degraded_churn_pair(scheme: Scheme,
                          spec: dict[int, tuple[int, ...]],
                          cycles: int = 20,
                          prepare=None,
+                         failed_disk: "int | None" = 1,
                          **kwargs: object) -> tuple[tuple, tuple, object]:
-    """Scalar vs churn-engine run over a *degraded* server."""
+    """Scalar vs churn-engine run over a *degraded* server (healthy
+    with ``failed_disk=None``)."""
     results = []
     fast_report = None
     for fast_forward in (False, True):
         server = _server(scheme, **kwargs)
-        server.fail_disk(1)
+        if failed_disk is not None:
+            server.fail_disk(failed_disk)
         if prepare is not None:
             prepare(server)
         reports, admitted, rejected = server.scheduler.run_churn(
@@ -157,6 +164,113 @@ def test_degraded_churn_saturation_matches_scalar(scheme: Scheme) -> None:
     assert fast == slow
     rejected = slow[-1]
     assert rejected > 0
+
+
+# -- the row store's boundaries: arrivals far above the live population --
+
+#: Two arrivals per cycle for 60 cycles: 120 requests against an
+#: admission limit of 3 live streams.
+HEAVY_CHURN = {cycle: (cycle % 4, (cycle + 1) % 4) for cycle in range(60)}
+#: One arrival per cycle.
+STEADY_CHURN = {cycle: (cycle % 4,) for cycle in range(40)}
+
+
+def _compactions_per_epoch(events: list[tuple]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for event in events:
+        if event[0] == "compact":
+            counts[event[1]] = counts.get(event[1], 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_churn_far_above_live_population_compacts(
+        scheme: Scheme, monkeypatch: pytest.MonkeyPatch) -> None:
+    # Window arrivals are 40x the live streams: one epoch compacts its
+    # store many times, writing retired rows back mid-epoch.
+    events = watch_store(monkeypatch)
+    slow, fast, report = _degraded_churn_pair(
+        scheme, HEAVY_CHURN, cycles=60, failed_disk=None,
+        admission_limit=3)
+    assert fast == slow
+    assert sum(len(batch) for batch in HEAVY_CHURN.values()) >= 10 * 3
+    assert max(_compactions_per_epoch(events).values()) >= 3
+    # Retired rows' raised peaks reach the tracker: every completed
+    # stream held buffers, and (via the fingerprint) matches scalar.
+    peaks = fast[4]
+    statuses = [row[1] for row in fast[3]]
+    completed = [peak for peak, status in zip(peaks, statuses)
+                 if status == "COMPLETED"]
+    assert len(completed) > 10
+    assert all(peak > 0 for peak in completed)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.STREAMING_RAID,
+                                    Scheme.IMPROVED_BANDWIDTH,
+                                    Scheme.PARITY_DECLUSTERED],
+                         ids=lambda s: s.value)
+def test_slot_overflow_right_after_compaction(
+        scheme: Scheme, monkeypatch: pytest.MonkeyPatch) -> None:
+    # One slot per disk: the cycle after a compaction overflows a disk
+    # and the epoch hands it to the scalar path with the store half
+    # rebuilt.
+    events = watch_store(monkeypatch)
+    slow, fast, _ = _degraded_churn_pair(
+        scheme, STEADY_CHURN, cycles=40, failed_disk=None,
+        admission_limit=2, slots_per_disk=1)
+    assert fast == slow
+    assert "slot-overflow" in bails_after_compaction(events)
+
+
+def test_rebuild_complete_right_after_compaction(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    events = watch_store(monkeypatch)
+    slow, fast, _ = _degraded_churn_pair(
+        Scheme.STREAMING_RAID, STEADY_CHURN, cycles=40,
+        prepare=lambda server: server.scheduler.start_rebuild(
+            1, writes_per_cycle=1),
+        admission_limit=2)
+    assert fast == slow
+    assert "rebuild-complete" in bails_after_compaction(events)
+
+
+@pytest.mark.parametrize("scheme,limit", [
+    (Scheme.STREAMING_RAID, 3), (Scheme.STAGGERED_GROUP, 4),
+    (Scheme.NON_CLUSTERED, 4), (Scheme.IMPROVED_BANDWIDTH, 3),
+    (Scheme.PARITY_DECLUSTERED, 3)], ids=lambda v: getattr(v, "value", v))
+def test_store_grows_in_a_cycle_that_retires_rows(
+        scheme: Scheme, limit: int,
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    events = watch_store(monkeypatch)
+    slow, fast, _ = _degraded_churn_pair(
+        scheme, STEADY_CHURN, cycles=40, failed_disk=None,
+        admission_limit=limit)
+    assert fast == slow
+    grown = {(e[1], e[2]) for e in events if e[0] == "grow"}
+    retired = {(e[1], e[2]) for e in events if e[0] == "retire"}
+    assert grown & retired
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_degraded_rebuild_epoch_across_compactions(
+        scheme: Scheme, monkeypatch: pytest.MonkeyPatch) -> None:
+    # A 24-object catalog keeps the online rebuild running long enough
+    # for one degraded epoch to compact its store repeatedly.
+    events = watch_store(monkeypatch)
+    slow, fast, report = _degraded_churn_pair(
+        scheme, HEAVY_CHURN, cycles=60,
+        prepare=lambda server: server.scheduler.start_rebuild(
+            1, writes_per_cycle=1),
+        admission_limit=3, catalog=tiny_catalog(24, tracks=8))
+    assert fast == slow
+    degraded = [e for e in events
+                if e[0] == "compact" and e[3] and e[4] > 0]
+    per_epoch: dict[int, int] = {}
+    for event in degraded:
+        per_epoch[event[1]] = per_epoch.get(event[1], 0) + 1
+    assert max(per_epoch.values()) >= 2
 
 
 def _disjoint_failure_partner(scheme: Scheme,
