@@ -42,8 +42,10 @@ def build_server():
                                   verify_payloads=False)
 
 
-def run_mix(fast_fraction_units: float):
-    """Admit a mix in waves of 12 units/cycle (the NC pipeline fill)."""
+def run_mix(fast_fraction_units: float, tail: int = 5,
+            fast_forward: bool = False):
+    """Admit a mix in waves of 12 units/cycle (the NC pipeline fill),
+    then run ``tail`` steady cycles."""
     server = build_server()
     fast_units = int(UNITS * fast_fraction_units) // 3 * 3
     slow_units = UNITS - fast_units
@@ -61,15 +63,18 @@ def run_mix(fast_fraction_units: float):
             units += stream.rate
             cursor += 1
         server.run_cycle()
-    server.run_cycles(5)
+    server.run_cycles(tail, fast_forward=fast_forward)
     return server, fast_units // 3, slow_units
 
 
+MIXES = [("all MPEG-1", 0.0), ("half/half", 0.5), ("mostly MPEG-2", 0.9)]
+#: Steady cycles for the fast-forward digest gate: long enough for the
+#: epoch engine to carry every mix, short of the first completions.
+TAIL = 40
+
+
 def compute():
-    return {label: run_mix(fraction)
-            for label, fraction in [("all MPEG-1", 0.0),
-                                    ("half/half", 0.5),
-                                    ("mostly MPEG-2", 0.9)]}
+    return {label: run_mix(fraction) for label, fraction in MIXES}
 
 
 def test_mixed_population(benchmark):
@@ -95,3 +100,22 @@ def test_mixed_population(benchmark):
     mostly_fast = results["mostly MPEG-2"]
     assert all_slow[2] == UNITS and all_slow[1] == 0
     assert mostly_fast[1] * 3 + mostly_fast[2] == UNITS
+
+
+def test_mixed_population_fast_forward_matches_scalar():
+    """Digest gate: rate-3 streams on the epoch engine at farm scale.
+
+    Each mix runs twice, the tail cycle by cycle and with
+    ``fast_forward=True``; the reports and per-disk read counters must
+    be identical.
+    """
+    print()
+    for label, fraction in MIXES:
+        scalar, _, _ = run_mix(fraction, tail=TAIL)
+        fast, _, _ = run_mix(fraction, tail=TAIL, fast_forward=True)
+        assert fast.report.to_rows() == scalar.report.to_rows()
+        assert [disk.reads for disk in fast.array.disks] \
+            == [disk.reads for disk in scalar.array.disks]
+        print(f"{label:<15} ff_engaged_cycles "
+              f"{fast.report.ff_engaged_cycles} of {TAIL}")
+        assert fast.report.ff_engaged_cycles == TAIL

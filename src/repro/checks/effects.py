@@ -48,8 +48,7 @@ ARRAY_STATE_CALLS = frozenset({
 
 #: Epoch-keyed scheduler caches (the guarded reads R9 cares about).
 CACHE_FIELDS = frozenset({
-    "_plan_cache", "_ff_tables", "_ff_flat", "_ff_deg_tables",
-    "_ff_deg_flat", "_ff_geom",
+    "_plan_cache", "_ff_tables", "_ff_flat", "_ff_geom",
 })
 
 #: Calls that count as bumping an epoch / invalidating plan caches.

@@ -384,14 +384,14 @@ FIXTURES: tuple[Fixture, ...] = (
         """),
     ),
     Fixture(
-        label="R3-bad-degraded-cache-without-rekey",
+        label="R3-bad-epoch-memo-without-rekey",
         path="src/repro/sched/example.py",
         code=_snippet("""
             class Scheduler:
-                __slots__ = ("_ff_deg_tables", "_ff_geom")
+                __slots__ = ("_ff_plan", "_ff_geom")
 
-                def reset_degraded(self) -> None:
-                    self._ff_deg_tables = {}
+                def reset_plan(self) -> None:
+                    self._ff_plan = None
 
                 def reset_geometry(self) -> None:
                     self._ff_geom.clear()
@@ -399,17 +399,12 @@ FIXTURES: tuple[Fixture, ...] = (
         expect=(("R3", 4), ("R3", 7)),
     ),
     Fixture(
-        label="R3-good-degraded-cache-rekeyed",
+        label="R3-good-epoch-memo-rekeyed",
         path="src/repro/sched/example.py",
         code=_snippet("""
             class Scheduler:
-                __slots__ = ("_ff_deg_tables", "_ff_deg_tables_key",
-                             "_ff_geom", "_ff_geom_epoch",
+                __slots__ = ("_ff_geom", "_ff_geom_epoch",
                              "_ff_plan", "_ff_plan_key")
-
-                def reset_degraded(self, key: tuple) -> None:
-                    self._ff_deg_tables = {}
-                    self._ff_deg_tables_key = key
 
                 def reset_geometry(self, epoch: int) -> None:
                     self._ff_geom = {}

@@ -28,12 +28,12 @@ one of those counters.  This rule makes the contract machine-checked:
   but an unmarked mutation site could reorder or truncate the scan and
   silently remap every placed group;
 * (delta path, PR 5) a function in ``sched/`` that *rewrites or evicts*
-  from a plan cache (``_plan_cache``, ``_ff_tables``, and since PR 6 the
-  degraded tables ``_ff_deg_tables``, the layout-epoch geometry
-  ``_ff_geom``, and the rebuilder's vector-plan memo ``_ff_plan`` —
-  whole-attribute assignment or a mutator-method call) must re-key it by
-  assigning the matching key field (``_plan_cache_key``,
-  ``_ff_tables_key``, ``_ff_deg_tables_key``, ``_ff_geom_epoch``,
+  from a plan cache (``_plan_cache``, the epoch engine's read tables
+  ``_ff_tables`` — healthy and degraded alike —, the layout-epoch
+  geometry ``_ff_geom``, and the rebuilder's vector-plan memo
+  ``_ff_plan`` — whole-attribute assignment or a mutator-method call)
+  must re-key it by assigning the matching key field
+  (``_plan_cache_key``, ``_ff_tables_key``, ``_ff_geom_epoch``,
   ``_ff_plan_key``) or calling an invalidator in the same body.
   Subscript fills (``cache[k] = plan``) are exempt: lazily populating a
   cache under its current key is always sound.
@@ -85,15 +85,15 @@ DELTA_FIELDS = frozenset({"_delta_log", "_delta_floor"})
 DESIGN_CACHE_FIELDS = frozenset({"_design_rows", "_design_scanned"})
 
 #: Scheduler plan caches and the epoch-pair keys that guard them.
-#: ``_ff_deg_tables`` (degraded read tables, PR 6) is keyed like the
-#: healthy tables; ``_ff_geom`` (placement geometry) is keyed on the
-#: layout epoch alone; ``_ff_plan`` is the rebuilder's vector-plan memo.
+#: ``_ff_tables`` (the epoch engine's read tables, degraded columns
+#: included) is keyed like the plan cache; ``_ff_geom`` (placement
+#: geometry) is keyed on the layout epoch alone; ``_ff_plan`` is the
+#: rebuilder's vector-plan memo.
 SCHED_CACHE_FIELDS = frozenset({
-    "_plan_cache", "_ff_tables", "_ff_deg_tables", "_ff_geom", "_ff_plan",
+    "_plan_cache", "_ff_tables", "_ff_geom", "_ff_plan",
 })
 SCHED_CACHE_KEY_FIELDS = frozenset({
-    "_plan_cache_key", "_ff_tables_key", "_ff_deg_tables_key",
-    "_ff_geom_epoch", "_ff_plan_key",
+    "_plan_cache_key", "_ff_tables_key", "_ff_geom_epoch", "_ff_plan_key",
 })
 
 #: Calls that count as bumping an epoch / invalidating plan caches.

@@ -22,7 +22,7 @@ metrics — lives here so the four schemes stay comparable.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.errors import (
 )
 from repro.layout.base import DataLayout
 from repro.media.objects import MediaObject
-from repro.parity.xor import META_PAYLOAD, MetaParityCodec, ParityCodec
+from repro.parity.xor import MetaParityCodec, ParityCodec
 from repro.sched.config import SchedulerConfig
 from repro.schemes import Scheme
 from repro.sched.plan import PlannedRead, ReadKind, ReadPurpose
@@ -64,6 +64,15 @@ _UNPLACED = -1
 _LOST_TRACKS = -2
 _BAD_RATE = -3
 _AT_CAPACITY = -4
+
+#: One object's epoch-engine read table, as :meth:`CycleScheduler.
+#: _ff_read_table` returns it: ``(counts, offsets, member disks, next
+#: pointers, divisor, degraded columns or None)``.
+ReadTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int,
+                  Optional[tuple[Any, ...]]]
+#: An epoch's concatenated read tables (:meth:`CycleScheduler.
+#: _ff_flat_tables`).
+FlatTables = tuple[Any, ...]
 
 
 class GroupPlan:
@@ -106,9 +115,8 @@ class CycleScheduler(abc.ABC):
         "_all_disks_up", "_read_hook_active", "_delivery_hook_active",
         "_base_quota", "admission_limit", "redundant_fault_commands",
         "_known_lost_tracks", "_pending_shed", "_ff_tables",
-        "_ff_tables_key", "_ff_flat", "_ff_flat_names",
-        "_ff_deg_tables", "_ff_deg_tables_key", "_ff_deg_flat",
-        "_ff_deg_flat_names", "_ff_geom", "_ff_geom_epoch",
+        "_ff_tables_key", "_ff_flat", "_ff_flat_names", "_ff_geom",
+        "_ff_geom_epoch",
     )
 
     def __init__(self, layout: DataLayout, array: DiskArray,
@@ -167,25 +175,16 @@ class CycleScheduler(abc.ABC):
         #: layout's delta log reports its removal (incremental refresh).
         self._plan_cache: dict[str, dict[int, GroupPlan]] = {}
         self._plan_cache_key: Optional[tuple[int, int]] = None
-        #: Fast-forward read tables: object name -> flat numpy arrays of
-        #: (member count, member offset, member disks, next pointer) per
-        #: read position, valid for one plan-cache key.
-        self._ff_tables: dict[str, tuple[np.ndarray, np.ndarray,
-                                         np.ndarray, np.ndarray, int]] = {}
-        self._ff_tables_key: Optional[tuple[int, int]] = None
-        #: Concatenated read tables for the last fast-forward entry's
-        #: object tuple; valid while the key and the tuple both hold.
-        self._ff_flat: Optional[tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray, list[int], int]] = None
-        self._ff_flat_names: Optional[tuple[str, ...]] = None
-        #: Degraded-epoch read tables (survivors + parity fallback per
-        #: read position), keyed like ``_ff_tables``: valid for one
-        #: (placement epoch, array state epoch) pair, so every
+        #: Epoch-engine read tables under the current failure set:
+        #: object name -> :meth:`_ff_read_table` plus the degraded
+        #: prefix sums, valid for one plan-cache key, so every
         #: fail/repair/media transition re-derives them.
-        self._ff_deg_tables: dict[str, tuple] = {}
-        self._ff_deg_tables_key: Optional[tuple[int, int]] = None
-        self._ff_deg_flat: Optional[tuple] = None
-        self._ff_deg_flat_names: Optional[tuple[str, ...]] = None
+        self._ff_tables: dict[str, ReadTable] = {}
+        self._ff_tables_key: Optional[tuple[int, int]] = None
+        #: Concatenated read tables for the last epoch entry's object
+        #: tuple and mode; valid while the key and both of those hold.
+        self._ff_flat: Optional[FlatTables] = None
+        self._ff_flat_names: Optional[tuple[tuple[str, ...], bool]] = None
         #: Per-object placement geometry (group sizes, flat member
         #: disks, parity disks, group-end pointers) as numpy arrays,
         #: keyed on the *layout* epoch only: failures move no data, so
@@ -676,7 +675,6 @@ class CycleScheduler(abc.ABC):
         self._plan_cache.clear()
         self._plan_cache_key = None
         self._ff_flat = None
-        self._ff_deg_flat = None
         self._all_disks_up = not any(
             disk.is_failed for disk in self.array.disks)
 
@@ -703,28 +701,21 @@ class CycleScheduler(abc.ABC):
         if old is not None and old[1] == key[1]:
             deltas = self.layout.deltas_since(old[0])
             if deltas is not None:
-                bridge_ff = self._ff_tables_key == old
-                bridge_deg = self._ff_deg_tables_key == old
+                bridge = self._ff_tables_key == old
                 for delta in deltas:
                     if delta.kind != "remove":
                         continue
                     self._plan_cache.pop(delta.name, None)
-                    if bridge_ff:
+                    if bridge:
                         self._ff_tables.pop(delta.name, None)
                         self._ff_flat = None
-                    if bridge_deg:
-                        self._ff_deg_tables.pop(delta.name, None)
-                        self._ff_deg_flat = None
                 self._plan_cache_key = key
-                if bridge_ff:
+                if bridge:
                     self._ff_tables_key = key
-                if bridge_deg:
-                    self._ff_deg_tables_key = key
                 return
         self._plan_cache.clear()
         self._plan_cache_key = key
         self._ff_flat = None
-        self._ff_deg_flat = None
         self._all_disks_up = not any(
             disk.is_failed for disk in self.array.disks)
 
@@ -818,37 +809,6 @@ class CycleScheduler(abc.ABC):
         """
         return True
 
-    def _ff_stream_plan(self, stream: Stream, cycle: int,
-                        loads: list[int]) -> Optional[tuple[int, int]]:
-        """One stream's read plan for one quiescent cycle.
-
-        Adds the planned reads to the per-disk ``loads`` scratch and
-        returns ``(new read pointer, reads planned)`` without touching
-        the stream; ``None`` means the plan cannot be expressed
-        quiescently and the engine must fall back to the scalar cycle
-        (which reproduces the exact behaviour — including raising on a
-        mid-group pointer).  The default is the Streaming-RAID /
-        Improved-bandwidth whole-group walk; with every disk up no
-        parity is ever planned.
-        """
-        new_read = stream.next_read_track
-        num_tracks = stream.num_tracks
-        stripe = self._stripe
-        name = stream.object.name
-        planned = 0
-        for _ in range(stream.rate):
-            if new_read >= num_tracks:
-                break
-            group, offset = divmod(new_read, stripe)
-            if offset:
-                return None  # the scalar path raises SimulationError
-            entry = self._group_plan(name, group)
-            for disk_id, _position, _track in entry.healthy:
-                loads[disk_id] += 1
-            planned += len(entry.healthy)
-            new_read = entry.next_read_track
-        return new_read, planned
-
     def _ff_classify(self) -> tuple[Optional[str], Optional[str]]:
         """Which fast-forward engine the current state allows.
 
@@ -930,10 +890,6 @@ class CycleScheduler(abc.ABC):
         tally = self.report.ff_disengagements
         tally[reason] = tally.get(reason, 0) + 1
 
-    def _ff_eligible(self) -> bool:
-        """Whether the *current* state allows a quiescent epoch at all."""
-        return self._ff_classify()[0] == "healthy"
-
     def _fast_forward(
             self, limit: int, reports: list[CycleReport],
             stop_on_completion: bool = False,
@@ -951,22 +907,21 @@ class CycleScheduler(abc.ABC):
         payload is the metadata token) at the boundary, so the post-run
         state is indistinguishable from a scalar run.
 
-        Rate-1 populations run the vectorised row engine
-        (:meth:`_fast_forward_rows`) in both of its modes: healthy, and
+        Every epoch runs the vectorised row engine
+        (:meth:`_fast_forward_rows`) in one of its two modes: healthy, and
         stable degraded — any number of failed disks in pairwise-disjoint
         parity groups, optionally with online rebuilds in flight, which
         folds reconstruction and rebuild traffic into the same batched
         accounting and bails only on state *transitions* (shared-group
         failure, rebuild completion, media error).  ``arrivals`` (absolute
-        cycle -> objects) are admitted in-engine.  A healthy mixed-rate
-        population runs the per-stream generic loop up to the next
-        arrival cycle.  With ``stop_on_completion`` the epoch also ends
-        right after a cycle in which a stream completed, so drivers that
-        re-admit per completed object observe scalar admission timing.
+        cycle -> objects) are admitted in-engine.  With
+        ``stop_on_completion`` the epoch also ends right after a cycle in
+        which a stream completed, so drivers that re-admit per completed
+        object observe scalar admission timing.
 
         Returns ``(cycles done, admitted, rejected, consumed)`` as
-        :meth:`_fast_forward_rows` does; all zeros when no engine fits
-        the state.
+        :meth:`_fast_forward_rows` does; all zeros when the state is not
+        fast-forwardable.
         """
         self._refresh_plan_cache()
         if limit <= 0:
@@ -976,22 +931,9 @@ class CycleScheduler(abc.ABC):
             self._ff_note(reason)
             return 0, 0, 0, False
         live = [s for s in self.streams.values() if s.is_active]
-        degraded = mode == "degraded"
-        if all(s.rate == 1 for s in live):
-            result = self._fast_forward_rows(limit, live, reports, degraded,
-                                             stop_on_completion, arrivals)
-            if result is not None:
-                return result
-            if degraded:
-                return 0, 0, 0, False
-        elif degraded:
-            self._ff_note("mixed-rates")
-            return 0, 0, 0, False
-        span = min((cycle - self.cycle_index
-                    for cycle, batch in (arrivals or {}).items()
-                    if batch and self.cycle_index <= cycle), default=limit)
-        return (self._fast_forward_generic(min(span, limit), live, reports,
-                                           stop_on_completion), 0, 0, False)
+        return self._fast_forward_rows(limit, live, reports,
+                                       mode == "degraded",
+                                       stop_on_completion, arrivals)
 
     def run_epoch(self, limit: int, stop_on_completion: bool = False) -> int:
         """Advance up to ``limit`` cycles on a fast-forward engine.
@@ -1005,118 +947,6 @@ class CycleScheduler(abc.ABC):
         """
         reports: list[CycleReport] = []
         return self._fast_forward(limit, reports, stop_on_completion)[0]
-
-    def _fast_forward_generic(self, limit: int, live: list[Stream],
-                              reports: list[CycleReport],
-                              stop_on_completion: bool = False) -> int:
-        """Per-stream quiescent loop: any rate mix, any scheme with an
-        :meth:`_ff_stream_plan`."""
-        disks = self.array.disks
-        num_disks = len(disks)
-        slots = self.config.slots_per_disk
-        k_prime = self.config.k_prime
-        base_quota = self._base_quota
-        admitted_status = StreamStatus.ADMITTED
-        active = terminated = 0
-        for stream in self.streams.values():
-            if stream.status is StreamStatus.ACTIVE:
-                active += 1
-            elif stream.status is StreamStatus.TERMINATED:
-                terminated += 1
-        loads = [0] * num_disks
-        done = 0
-        bail: Optional[str] = None
-        while done < limit:
-            cycle = self.cycle_index
-            # -- plan: scratch only, so a bail leaves no trace ------------
-            staged: list[tuple[Stream, int, int, int]] = []
-            planned_total = 0
-            quiescent = True
-            for stream in live:
-                start = stream.delivery_start_cycle
-                if start is not None and cycle >= start:
-                    quota = (k_prime * stream.rate if base_quota
-                             else self.deliveries_per_cycle(stream))
-                    due = min(quota, stream.num_tracks
-                              - stream.next_delivery_track)
-                    if due > (stream.next_read_track
-                              - stream.next_delivery_track):
-                        quiescent = False  # an imminent hiccup: go scalar
-                        bail = "imminent-hiccup"
-                        break
-                else:
-                    due = 0
-                plan = self._ff_stream_plan(stream, cycle, loads)
-                if plan is None:
-                    quiescent = False
-                    bail = "mid-group-pointer"
-                    break
-                new_read, planned = plan
-                planned_total += planned
-                staged.append((stream, due, new_read, planned))
-            if quiescent and planned_total:
-                for disk_id in range(num_disks):
-                    if loads[disk_id] > slots:
-                        quiescent = False  # slot overflow: scalar drops
-                        bail = "slot-overflow"
-                        break
-            if not quiescent:
-                for disk_id in range(num_disks):
-                    loads[disk_id] = 0
-                break
-            # -- commit: pointers, counters, synthesized report -----------
-            delivered_total = 0
-            held: dict[int, int] = {}
-            completed = False
-            next_cycle = cycle + 1
-            for stream, due, new_read, planned in staged:
-                if due:
-                    stream.next_delivery_track += due
-                    stream.delivered_tracks += due
-                    delivered_total += due
-                    if stream.status is admitted_status:
-                        stream.activate()
-                        active += 1
-                if planned and stream.delivery_start_cycle is None:
-                    stream.delivery_start_cycle = next_cycle
-                stream.next_read_track = new_read
-                if stream.next_delivery_track >= stream.num_tracks:
-                    stream.complete()
-                    active -= 1
-                    completed = True
-                else:
-                    held[stream.stream_id] = (stream.next_read_track
-                                              - stream.next_delivery_track)
-            for disk_id in range(num_disks):
-                planned = loads[disk_id]
-                if planned:
-                    disks[disk_id].reads += planned
-                    loads[disk_id] = 0
-            report = CycleReport(cycle=cycle)
-            report.reads_planned = planned_total
-            report.reads_executed = planned_total
-            report.tracks_delivered = delivered_total
-            report.streams_active = active
-            report.streams_terminated = terminated
-            report.buffered_tracks = self.tracker.sample_counts(held)
-            reports.append(report)
-            self.report.record(report)
-            self.cycle_index = next_cycle
-            done += 1
-            if completed:
-                live = [s for s in live if s.is_active]
-                if stop_on_completion:
-                    bail = "stream-completed"
-                    break
-        if done:
-            # Rematerialise the virtual buffers at the epoch boundary.
-            for stream in live:
-                stream.buffer = dict.fromkeys(
-                    range(stream.next_delivery_track,
-                          stream.next_read_track), META_PAYLOAD)
-            self.report.ff_engaged_cycles += done
-        self._ff_note(bail)
-        return done
 
     def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
         """Static read-gate parameters for the row engine.
@@ -1159,45 +989,104 @@ class CycleScheduler(abc.ABC):
             self._ff_geom[obj.name] = entry
         return entry
 
-    def _ff_read_table(self, obj: MediaObject,
-                       ) -> Optional[tuple[np.ndarray, np.ndarray,
-                                           np.ndarray, np.ndarray, int]]:
-        """Per-object read table for the row engine, or None.
+    def _ff_read_table(self, obj: MediaObject) -> ReadTable:
+        """Per-object read table under the current failure set.
 
-        ``(cnt, ptr, disks, next_pointers, divisor)``: a stream whose
-        read pointer is ``p`` (with ``p % divisor == 0`` for
+        ``(cnt, ptr, disks, next_pointers, divisor, degraded)``: a stream
+        whose read pointer is ``p`` (with ``p % divisor == 0`` for
         group-at-a-time schemes) performs one read on each disk in
         ``disks[ptr[q]:ptr[q] + cnt[q]]`` for ``q = p // divisor`` and
-        its pointer becomes ``next_pointers[q]``.  The base table is the
-        healthy group walk straight from the cached geometry (failed
-        members dropped by overlay); NC overrides with a
+        its pointer becomes ``next_pointers[q]``.  ``degraded`` is None
+        while no failure touches the object; otherwise it holds the
+        degraded engine's columns ``(data_counts, parity_flags, valid,
+        deg_pairs, acc_info)``: a degraded position's member slice
+        includes the parity-fallback disk, *parity_flags* marks
+        positions whose read carries one parity fetch **and** one
+        same-cycle reconstruction, and *valid* is False where the scalar
+        planner cannot recover the position (the engine bails before
+        touching it).  ``deg_pairs`` are the ``(group,
+        acquired-at-pointer)`` pairs that predict a stream's parity
+        buffer; ``acc_info`` the accumulator open-windows (empty for
+        group-at-a-time schemes).
+
+        The base table is the group walk straight from the cached
+        geometry, with a failure overlay: only groups that actually lost
+        a member are re-derived in Python, so a single failure in a large
+        farm touches a handful of groups and every other object's table
+        is a zero-copy view of its geometry.  NC overrides with a
         one-track-per-position table.
         """
-        cnt, ptr, disks, _parity, nxt = self._ff_object_geometry(obj)
-        if not self._all_disks_up:
-            failed = self.array.failed_ids
-            down = (disks == failed[0] if len(failed) == 1
-                    else np.isin(disks, np.asarray(failed, dtype=np.int64)))
-            if bool(down.any()):
-                fcnt = np.add.reduceat(down.astype(np.int64), ptr[:-1])
-                cnt = cnt - fcnt
-                disks = disks[~down]
-                ptr = np.zeros(len(cnt) + 1, dtype=np.int64)
-                np.cumsum(cnt, out=ptr[1:])
-        return cnt, ptr, disks, nxt, self._stripe
+        cnt, ptr, disks, parity, nxt = self._ff_object_geometry(obj)
+        if self._all_disks_up:
+            return cnt, ptr, disks, nxt, self._stripe, None
+        failed = self.array.failed_ids
+        if len(failed) == 1:
+            down = disks == failed[0]
+            parity_down = parity == failed[0]
+        else:
+            failed_arr = np.asarray(failed, dtype=np.int64)
+            down = np.isin(disks, failed_arr)
+            parity_down = np.isin(parity, failed_arr)
+        if not bool(down.any()):
+            # No data member down (a failed parity disk never appears
+            # in a healthy group read): the healthy walk verbatim.
+            return cnt, ptr, disks, nxt, self._stripe, None
+        positions = len(cnt)
+        fcnt = np.add.reduceat(down.astype(np.int64), ptr[:-1])
+        recoverable = (fcnt == 1) & ~parity_down
+        dat = cnt - fcnt
+        par = np.zeros(positions, dtype=np.int64)
+        val = np.ones(positions, dtype=bool)
+        new_cnt = dat.copy()
+        keep = ~down
+        deg_pairs: list[tuple[int, int]] = []
+        segments: list[np.ndarray] = []
+        prev = 0
+        for group in np.nonzero(fcnt > 0)[0]:
+            lo, hi = int(ptr[group]), int(ptr[group + 1])
+            if prev < lo:
+                segments.append(disks[prev:lo])
+            survivors = disks[lo:hi][keep[lo:hi]]
+            if recoverable[group]:
+                segments.append(np.append(survivors, parity[group]))
+                new_cnt[group] += 1
+                par[group] = 1
+                deg_pairs.append((int(group), int(nxt[group])))
+            else:
+                # Unreconstructable group: the scalar path sheds the
+                # stream here (data loss) — a state transition the
+                # engine must never cross.
+                segments.append(survivors)
+                val[group] = False
+            prev = hi
+        if prev < len(disks):
+            segments.append(disks[prev:])
+        new_disks = np.concatenate(segments)
+        new_ptr = np.zeros(positions + 1, dtype=np.int64)
+        np.cumsum(new_cnt, out=new_ptr[1:])
+        return (new_cnt, new_ptr, new_disks, nxt, self._stripe,
+                (dat, par, val, tuple(deg_pairs), {}))
 
     def _ff_flat_tables(self, objects: list[MediaObject],
-                        ) -> Optional[tuple[np.ndarray, np.ndarray,
-                                            np.ndarray, np.ndarray,
-                                            list[int], int]]:
+                        degraded: bool) -> FlatTables:
         """Concatenated read tables for a set of objects.
 
         Returns ``(counts, offsets, member_disks, next_pointers,
-        per-object position bases, divisor)`` with per-object tables
-        cached against the plan-cache key, or None when any object lacks
-        a table.  The concatenated result itself is memoized against the
-        object tuple, so a churn epoch re-entering with the same working
-        set pays nothing.
+        data_counts, parity_flags, valid, pheld, prel, acch, pos_base,
+        ptr_base, deg_by_name, divisor)``.  Per-object tables are cached
+        against the plan-cache key; the concatenation is memoized
+        against the object tuple and the mode, so a churn epoch
+        re-entering with the same working set pays nothing.
+
+        The columns from ``data_counts`` to ``acch`` and ``deg_by_name``
+        are built only for a ``degraded`` epoch (a healthy one never
+        reads them, and ``ptr_base`` is then ``pos_base``).  ``pheld``,
+        ``prel`` and ``acch`` are pointer-indexed prefix sums: with read
+        pointer ``r`` and delivery pointer ``d``, a canonical stream
+        holds ``pheld[r] - prel[d]`` parity blocks and ``acch[r]`` open
+        accumulators (acquired at the group's end pointer, released once
+        delivery passes the group), which reproduces
+        ``buffered_track_count`` arithmetically.
         """
         if self._ff_tables_key != self._plan_cache_key:
             self._ff_tables = {}
@@ -1205,33 +1094,75 @@ class CycleScheduler(abc.ABC):
             self._ff_flat = None
             self._ff_flat_names = None
         names = tuple(obj.name for obj in objects)
-        if self._ff_flat is not None and self._ff_flat_names == names:
+        if self._ff_flat is not None \
+                and self._ff_flat_names == (names, degraded):
             return self._ff_flat
         cache = self._ff_tables
+        stripe = self._stripe
         per_obj = []
         for obj in objects:
             entry = cache.get(obj.name)
             if entry is None:
-                entry = self._ff_read_table(obj)
-                if entry is None:
-                    return None
-                cache[obj.name] = entry
+                cnt, ptr, disks, nxt, divisor, deg = self._ff_read_table(obj)
+                if deg is not None:
+                    dat, par, val, deg_pairs, acc_info = deg
+                    tracks = obj.num_tracks
+                    diff_held = np.zeros(tracks + 2, dtype=np.int64)
+                    diff_rel = np.zeros(tracks + 2, dtype=np.int64)
+                    for group, acquired in deg_pairs:
+                        diff_held[acquired] += 1
+                        released = (group + 1) * stripe
+                        if released <= tracks:
+                            diff_rel[released] += 1
+                    acch = np.zeros(tracks + 1, dtype=np.int64)
+                    for lo, hi in acc_info.values():
+                        acch[lo:hi + 1] += 1
+                    deg = (dat, par, val, np.cumsum(diff_held)[:tracks + 1],
+                           np.cumsum(diff_rel)[:tracks + 1], acch, deg_pairs)
+                entry = cache[obj.name] = (cnt, ptr, disks, nxt, divisor, deg)
             per_obj.append(entry)
-        divisor = per_obj[0][4]
         pos_base: list[int] = []
         base = 0
-        for cnt, _ptr, _disks, _nxt, _div in per_obj:
+        for entry in per_obj:
             pos_base.append(base)
-            base += len(cnt)
+            base += len(entry[0])
         counts = np.concatenate([e[0] for e in per_obj])
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         member_disks = np.concatenate([e[2] for e in per_obj])
         next_pointers = np.concatenate([e[3] for e in per_obj])
-        flat = (counts, offsets, member_disks, next_pointers, pos_base,
-                divisor)
+        divisor = per_obj[0][4]
+        flat: FlatTables
+        if not degraded:
+            flat = (counts, offsets, member_disks, next_pointers, None, None,
+                    None, None, None, None, pos_base, pos_base, None,
+                    divisor)
+        else:
+            columns = []
+            for obj, entry in zip(objects, per_obj):
+                deg = entry[5]
+                if deg is None:
+                    positions = len(entry[0])
+                    zeros = np.zeros(obj.num_tracks + 1, dtype=np.int64)
+                    deg = (entry[0], np.zeros(positions, dtype=np.int64),
+                           np.ones(positions, dtype=bool), zeros, zeros,
+                           zeros, ())
+                columns.append(deg)
+            ptr_base: list[int] = []
+            base = 0
+            for deg in columns:
+                ptr_base.append(base)
+                base += len(deg[3])
+            data_counts, parity_flags, valid, pheld, prel, acch = (
+                np.concatenate([deg[i] for deg in columns])
+                for i in range(6))
+            flat = (counts, offsets, member_disks, next_pointers, data_counts,
+                    parity_flags, valid, pheld, prel, acch, pos_base,
+                    ptr_base,
+                    {name: deg[6] for name, deg in zip(names, columns)},
+                    divisor)
         self._ff_flat = flat
-        self._ff_flat_names = names
+        self._ff_flat_names = (names, degraded)
         return flat
 
     # -- degraded-epoch fast-forward --------------------------------------------------
@@ -1268,178 +1199,22 @@ class CycleScheduler(abc.ABC):
         """Pool tracks held outside streams for ``open_accumulators``."""
         return 0
 
-    def _ff_degraded_read_table(self, obj: MediaObject,
-                                failed: list[int]) -> Optional[tuple]:
-        """Per-object read table under the current failure set.
-
-        Mirrors :meth:`_ff_read_table` with the degraded columns the
-        epoch engine needs: ``(cnt, ptr, disks, next_pointers,
-        data_counts, parity_flags, valid, deg_pairs, acc_info,
-        divisor)`` where a degraded position's member slice includes the
-        parity-fallback disk, *parity_flags* marks positions whose read
-        carries one parity fetch **and** one same-cycle reconstruction,
-        and *valid* is False where the scalar planner cannot recover the
-        position (the engine bails before touching it).  ``deg_pairs``
-        are the ``(group, acquired-at-pointer)`` pairs that predict a
-        stream's parity buffer; ``acc_info`` the accumulator
-        open-windows (empty for group-at-a-time schemes).  ``None``
-        means the scheme has no vectorisable degraded plan.
-
-        Built as a failure overlay on the cached geometry: only groups
-        that actually lost a member are re-derived in Python, so a
-        single failure in a large farm touches a handful of groups and
-        every other object's table is a zero-copy view of its geometry.
-        """
-        cnt, ptr, disks, parity, nxt = self._ff_object_geometry(obj)
-        positions = len(cnt)
-        if len(failed) == 1:
-            down = disks == failed[0]
-            parity_down = parity == failed[0]
-        else:
-            failed_arr = np.asarray(failed, dtype=np.int64)
-            down = np.isin(disks, failed_arr)
-            parity_down = np.isin(parity, failed_arr)
-        if not bool(down.any()):
-            # No data member down (a failed parity disk never appears
-            # in a healthy group read): the healthy walk verbatim.
-            return (cnt, ptr, disks, nxt, cnt,
-                    np.zeros(positions, dtype=np.int64),
-                    np.ones(positions, dtype=bool), (), {}, self._stripe)
-        fcnt = np.add.reduceat(down.astype(np.int64), ptr[:-1])
-        recoverable = (fcnt == 1) & ~parity_down
-        dat = cnt - fcnt
-        par = np.zeros(positions, dtype=np.int64)
-        val = np.ones(positions, dtype=bool)
-        new_cnt = dat.copy()
-        keep = ~down
-        deg_pairs: list[tuple[int, int]] = []
-        segments: list[np.ndarray] = []
-        prev = 0
-        for group in np.nonzero(fcnt > 0)[0]:
-            lo, hi = int(ptr[group]), int(ptr[group + 1])
-            if prev < lo:
-                segments.append(disks[prev:lo])
-            survivors = disks[lo:hi][keep[lo:hi]]
-            if recoverable[group]:
-                segments.append(np.append(survivors, parity[group]))
-                new_cnt[group] += 1
-                par[group] = 1
-                deg_pairs.append((int(group), int(nxt[group])))
-            else:
-                # Unreconstructable group: the scalar path sheds the
-                # stream here (data loss) — a state transition the
-                # engine must never cross.
-                segments.append(survivors)
-                val[group] = False
-            prev = hi
-        if prev < len(disks):
-            segments.append(disks[prev:])
-        new_disks = np.concatenate(segments)
-        new_ptr = np.zeros(positions + 1, dtype=np.int64)
-        np.cumsum(new_cnt, out=new_ptr[1:])
-        return (new_cnt, new_ptr, new_disks, nxt, dat, par, val,
-                tuple(deg_pairs), {}, self._stripe)
-
-    def _ff_degraded_flat_tables(self, objects: list[MediaObject],
-                                 ) -> Optional[tuple]:
-        """Concatenated degraded read tables for a set of objects.
-
-        The degraded counterpart of :meth:`_ff_flat_tables`: per-object
-        tables (including the pointer-indexed parity-held / released /
-        accumulator-window prefix sums the engine uses to reproduce
-        ``buffered_track_count`` arithmetically) are cached against the
-        plan-cache key, so every fail/repair/media transition re-derives
-        them; the concatenation is memoized against the object tuple.
-        """
-        if self._ff_deg_tables_key != self._plan_cache_key:
-            self._ff_deg_tables = {}
-            self._ff_deg_tables_key = self._plan_cache_key
-            self._ff_deg_flat = None
-            self._ff_deg_flat_names = None
-        names = tuple(obj.name for obj in objects)
-        if self._ff_deg_flat is not None \
-                and self._ff_deg_flat_names == names:
-            return self._ff_deg_flat
-        cache = self._ff_deg_tables
-        stripe = self._stripe
-        failed = self.array.failed_ids
-        per_obj = []
-        for obj in objects:
-            entry = cache.get(obj.name)
-            if entry is None:
-                raw = self._ff_degraded_read_table(obj, failed)
-                if raw is None:
-                    return None
-                (cnt, ptr, disks, nxt, dat, par, val,
-                 deg_pairs, acc_info, divisor) = raw
-                # Pointer-indexed prefix sums: with read pointer ``r``
-                # and delivery pointer ``d``, a canonical stream holds
-                # ``pheld[r] - prel[d]`` parity blocks and ``acch[r]``
-                # open accumulators (acquired at the group's end
-                # pointer, released once delivery passes the group).
-                tracks = obj.num_tracks
-                diff_held = np.zeros(tracks + 2, dtype=np.int64)
-                diff_rel = np.zeros(tracks + 2, dtype=np.int64)
-                for group, acquired in deg_pairs:
-                    diff_held[acquired] += 1
-                    released = (group + 1) * stripe
-                    if released <= tracks:
-                        diff_rel[released] += 1
-                pheld = np.cumsum(diff_held)[:tracks + 1]
-                prel = np.cumsum(diff_rel)[:tracks + 1]
-                acch = np.zeros(tracks + 1, dtype=np.int64)
-                for lo, hi in acc_info.values():
-                    acch[lo:hi + 1] += 1
-                entry = (cnt, ptr, disks, nxt, dat, par, val,
-                         pheld, prel, acch, deg_pairs, acc_info, divisor)
-                cache[obj.name] = entry
-            per_obj.append(entry)
-        divisor = per_obj[0][12]
-        pos_base: list[int] = []
-        ptr_base: list[int] = []
-        position_total = pointer_total = 0
-        for entry in per_obj:
-            pos_base.append(position_total)
-            position_total += len(entry[0])
-            ptr_base.append(pointer_total)
-            pointer_total += len(entry[7])
-        counts = np.concatenate([e[0] for e in per_obj])
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        member_disks = np.concatenate([e[2] for e in per_obj])
-        next_pointers = np.concatenate([e[3] for e in per_obj])
-        data_counts = np.concatenate([e[4] for e in per_obj])
-        parity_flags = np.concatenate([e[5] for e in per_obj])
-        valid = np.concatenate([e[6] for e in per_obj])
-        pheld = np.concatenate([e[7] for e in per_obj])
-        prel = np.concatenate([e[8] for e in per_obj])
-        acch = np.concatenate([e[9] for e in per_obj])
-        deg_by_name = {name: per_obj[i][10] for i, name in enumerate(names)}
-        flat = (counts, offsets, member_disks, next_pointers, data_counts,
-                parity_flags, valid, pheld, prel, acch, pos_base, ptr_base,
-                deg_by_name, divisor)
-        self._ff_deg_flat = flat
-        self._ff_deg_flat_names = names
-        return flat
-
     def _ff_working_set(self, live: list[Stream], limit: int,
                         arrivals: Optional[dict[int,
                                                 tuple[MediaObject, ...]]],
                         verdicts: dict[str, int],
-                        ) -> tuple[list[MediaObject], int]:
-        """The objects an epoch's rows may read, and where it must stop.
+                        ) -> list[MediaObject]:
+        """The objects an epoch's rows may read.
 
         Live streams' objects plus the object of every admissible
-        arrival in the window; an admissible arrival whose rate is not 1
-        cannot join the uniform rows, so the epoch must end *before* its
-        cycle.  Every arrival's :meth:`_object_verdict` lands in
-        ``verdicts`` for the in-engine admission to reuse.
+        arrival in the window.  Every arrival's :meth:`_object_verdict`
+        lands in ``verdicts`` for the in-engine admission to reuse.
         """
         objects: dict[str, MediaObject] = {}
         for stream in live:
             objects.setdefault(stream.object.name, stream.object)
         start = self.cycle_index
-        end = stop = start + limit
+        end = start + limit
         for cycle, batch in (arrivals or {}).items():
             if not start <= cycle < end:
                 continue
@@ -1447,32 +1222,29 @@ class CycleScheduler(abc.ABC):
                 verdict = verdicts.get(obj.name)
                 if verdict is None:
                     verdict = verdicts[obj.name] = self._object_verdict(obj)
-                if verdict < 0:
-                    continue  # refused in-engine
-                if verdict != 1:
-                    stop = min(stop, cycle)
-                    break
-                objects.setdefault(obj.name, obj)
-        return list(objects.values()), stop
+                if verdict >= 0:  # refusals never join the rows
+                    objects.setdefault(obj.name, obj)
+        return list(objects.values())
 
     def _fast_forward_rows(
             self, limit: int, live: list[Stream],
             reports: list[CycleReport], degraded: bool,
             stop_on_completion: bool = False,
             arrivals: Optional[dict[int, tuple[MediaObject, ...]]] = None,
-    ) -> Optional[tuple[int, int, int, bool]]:
-        """The vectorised epoch engine for rate-1 populations.
+    ) -> tuple[int, int, int, bool]:
+        """The vectorised epoch engine.
 
         Stream state lives in an :class:`~repro.sched.rows.EpochRows`
         store for the whole epoch; each cycle is a handful of
-        whole-array operations (delivery quotas, read-table gathers, a
-        bincount for per-disk loads) staged before anything is
-        committed, so a bail leaves no trace.  Python-side disk and
-        tracker objects are written back once, at the epoch boundary;
-        streams are written back as they retire or at the boundary.
+        whole-array operations (delivery quotas, read-table gathers —
+        one gather pass per rate unit — and a bincount for per-disk
+        loads) staged before anything is committed, so a bail leaves no
+        trace.  Python-side disk and tracker objects are written back
+        once, at the epoch boundary; streams are written back as they
+        retire or at the boundary.
 
-        With ``degraded`` the read tables are the degraded ones
-        (:meth:`_ff_degraded_flat_tables`): per-group reconstruction
+        With ``degraded`` the read tables carry their degraded columns
+        (:meth:`_ff_flat_tables`): per-group reconstruction
         reads appear as extra rows (the parity-fallback disk joins the
         group's member list), reconstruction commits are pure arithmetic
         (a degraded group read always completes its rebuild in the same
@@ -1493,39 +1265,29 @@ class CycleScheduler(abc.ABC):
 
         The engine bails on a rebuild that could complete, a stream
         crossing an unreconstructable position, an imminent hiccup, a
-        mid-group pointer or a slot overflow.  Cycle reports, disk
-        loads, tracker samples and per-stream peaks are bit-identical to
-        the scalar path.
+        mid-group pointer or a slot overflow, and a degraded epoch on a
+        stream of rate above 1 (``mixed-rates``: the degraded tables are
+        only proven for rate-1 rows).  Cycle reports, disk loads, tracker
+        samples and per-stream peaks are bit-identical to the scalar
+        path.
 
         Returns ``(cycles done, admitted, rejected, consumed)`` where
         ``consumed`` means the *current* cycle's arrivals were already
         admitted before a bail, so the scalar fallback must not
-        re-admit them; None when the scheme has no read table.
+        re-admit them.
         """
         verdicts: dict[str, int] = {}
-        objects, stop_cycle = self._ff_working_set(live, limit, arrivals,
-                                                   verdicts)
-        if stop_cycle <= self.cycle_index:
-            return 0, 0, 0, False
+        objects = self._ff_working_set(live, limit, arrivals, verdicts)
+        flat: FlatTables
         if not objects:
             # No live streams and no admissible arrivals: every batched
             # request is a refusal and the cycles themselves are empty.
             zeros = np.zeros(0, dtype=np.int64)
-            flat: Optional[tuple] = (
-                zeros, zeros, zeros, zeros, zeros, zeros,
-                np.zeros(0, dtype=bool), zeros, zeros, zeros, [], [], {}, 1)
-        elif degraded:
-            flat = self._ff_degraded_flat_tables(objects)
+            flat = (zeros, zeros, zeros, zeros, zeros, zeros,
+                    np.zeros(0, dtype=bool), zeros, zeros, zeros, [], [],
+                    None, 1)
         else:
-            healthy = self._ff_flat_tables(objects)
-            flat = None if healthy is None else (
-                healthy[0], healthy[1], healthy[2], healthy[3],
-                healthy[0], None, None, None, None, None, healthy[4],
-                healthy[4], None, healthy[5])
-        if flat is None:
-            if degraded:
-                self._ff_note("no-read-table")
-            return None
+            flat = self._ff_flat_tables(objects, degraded)
         (counts, offsets, member_disks, next_pointers, data_counts,
          parity_flags, valid, pheld, prel, acch, pos_base, ptr_base,
          deg_by_name, divisor) = flat
@@ -1552,7 +1314,7 @@ class CycleScheduler(abc.ABC):
             self, live,
             {obj.name: (pos_base[i], ptr_base[i])
              for i, obj in enumerate(objects)},
-            deg_by_name if degraded else None)
+            next_pointers, divisor, deg_by_name)
         # The shared pool must hold exactly the open accumulators' pages
         # (anything else is unmodelled transition state).
         if degraded and self._ff_degraded_pool_tracks(
@@ -1577,7 +1339,7 @@ class CycleScheduler(abc.ABC):
         done = admitted_n = rejected_n = reconstructions = 0
         consumed = False
         bail: Optional[str] = None
-        while done < limit and self.cycle_index < stop_cycle:
+        while done < limit:
             cycle = self.cycle_index
             if any(rb.total_blocks - rb.blocks_rebuilt
                    <= rb.writes_per_cycle for rb in rebuilders):
@@ -1598,23 +1360,24 @@ class CycleScheduler(abc.ABC):
                 admitted_n += len(fresh)
                 rejected_n += refused
                 rows.add(fresh)
+            if degraded and rows.max_rate > 1:
+                bail = "mixed-rates"
+                break
             # -- stage (no mutation yet, so a bail leaves no trace) -------
-            bail, due, reading, idx = rows.stage(cycle, divisor)
+            bail, due, reading, idx, reads, pointer = rows.stage(cycle)
             if bail is not None:
                 break
-            if degraded and bool((reading & ~valid[idx]).any()):
+            if degraded and not bool(valid[reads].all()):
                 bail = "unrecoverable-group"  # scalar sheds: transition
                 break
-            cnt = np.where(reading, counts[idx], 0)
-            planned_total = int(cnt.sum())
+            r_cnt = counts[reads]
+            planned_total = int(r_cnt.sum())
             loads = None
             if planned_total:
-                r_idx = idx[reading]
-                r_cnt = counts[r_idx]
                 ends = np.cumsum(r_cnt)
                 within = np.arange(planned_total) \
                     - np.repeat(ends - r_cnt, r_cnt)
-                disk_ids = member_disks[np.repeat(offsets[r_idx], r_cnt)
+                disk_ids = member_disks[np.repeat(offsets[reads], r_cnt)
                                         + within]
                 loads = np.bincount(disk_ids, minlength=num_disks)
                 if int(loads.max(initial=0)) > slots:
@@ -1622,6 +1385,8 @@ class CycleScheduler(abc.ABC):
                     break
                 total_loads += loads
             # -- commit ---------------------------------------------------
+            # Every healthy read position holds at least one data track.
+            data_read = reading
             parity_cycle = 0
             if degraded:
                 recon = np.where(reading, parity_flags[idx], 0)
@@ -1630,9 +1395,9 @@ class CycleScheduler(abc.ABC):
                     rows.recon += recon
                 # Parity fetches never start the delivery clock: only a
                 # cycle with at least one *data* read does.
-                cnt = np.where(reading, data_counts[idx], 0)
-            began, finished = rows.commit(cycle, due, reading, idx, cnt,
-                                          next_pointers)
+                data_read = reading & (data_counts[idx] > 0)
+            began, finished = rows.commit(cycle, due, reading, idx,
+                                          data_read, pointer)
             active += began - len(finished)
             streams = rows.streams
             for i in finished.tolist():

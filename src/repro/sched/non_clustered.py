@@ -44,7 +44,7 @@ import numpy as np
 from repro.buffers.pool import BufferPool
 from repro.errors import BufferExhausted
 from repro.media.objects import MediaObject
-from repro.sched.base import CycleScheduler
+from repro.sched.base import CycleScheduler, ReadTable
 from repro.sched.plan import PlannedRead, ReadKind, ReadPurpose
 from repro.server.metrics import CycleReport, HiccupCause
 from repro.server.stream import Stream
@@ -440,38 +440,6 @@ class NonClusteredScheduler(CycleScheduler):
         """Vector gate: pace reads on the natural delivery schedule."""
         return stream.rate, stream.admitted_cycle, 1, 0
 
-    def _ff_read_table(self, obj: MediaObject,
-                       ) -> Optional[tuple[np.ndarray, np.ndarray,
-                                           np.ndarray, np.ndarray, int]]:
-        """Vector table: one data-disk read per track, natural order.
-
-        The cached geometry's flat member array already lists the data
-        disk of every track in order, so the per-track table is a
-        reindexing of it — no per-track address lookups.
-        """
-        _cnt, _ptr, disks, _parity, _nxt = self._ff_object_geometry(obj)
-        tracks = obj.num_tracks
-        pointers = np.arange(tracks + 1, dtype=np.int64)
-        return (np.ones(tracks, dtype=np.int64), pointers, disks,
-                pointers[1:], 1)
-
-    def _ff_stream_plan(self, stream: Stream, cycle: int,
-                        loads: list[int]) -> Optional[tuple[int, int]]:
-        """Quiescent plan: rate-paced single-track reads on the natural
-        schedule (the healthy branch of :meth:`_plan_one_quantum`)."""
-        new_read = stream.next_read_track
-        num_tracks = stream.num_tracks
-        target = self._schedule_target(stream, cycle)
-        disks = self.layout.placement(stream.object.name).data_disks
-        planned = 0
-        for _ in range(stream.rate):
-            if new_read >= num_tracks or new_read >= target:
-                break
-            loads[int(disks[new_read])] += 1
-            planned += 1
-            new_read += 1
-        return new_read, planned
-
     # -- degraded fast-forward ---------------------------------------------------------
 
     def _ff_degraded_ready(self) -> bool:
@@ -599,19 +567,30 @@ class NonClusteredScheduler(CycleScheduler):
         per accumulator, so it is constant across a degraded epoch."""
         return self.pool.tracks_in_use if self.pool is not None else 0
 
-    def _ff_degraded_read_table(self, obj: MediaObject,
-                                failed: list[int]) -> Optional[tuple]:
-        """Per-track degraded table (divisor 1): natural-pace single
-        reads, with the protocol's recovery burst folded into the group's
-        scalar burst position — EAGER at the group start, LAZY at the
-        failed offset (where the running XOR completes same-cycle).
-        Unrecoverable failed offsets are invalid rows: the scalar path
-        sheds the track there, a transition the engine must not cross.
+    def _ff_read_table(self, obj: MediaObject) -> ReadTable:
+        """Per-track table (divisor 1): natural-pace single reads.
+
+        With no cluster degraded, the cached geometry's flat member
+        array already lists the data disk of every track in order, so
+        the table is a reindexing of it — no per-track address lookups.
+        Otherwise the protocol's recovery burst is folded into the
+        group's scalar burst position — EAGER at the group start, LAZY
+        at the failed offset (where the running XOR completes
+        same-cycle) — and unrecoverable failed offsets are invalid
+        rows: the scalar path sheds the track there, a transition the
+        engine must not cross.
         """
+        _cnt, _ptr, geometry_disks, _parity, _nxt = \
+            self._ff_object_geometry(obj)
+        if not self._degraded:
+            tracks = obj.num_tracks
+            pointers = np.arange(tracks + 1, dtype=np.int64)
+            return (np.ones(tracks, dtype=np.int64), pointers,
+                    geometry_disks, pointers[1:], 1, None)
         stripe = self._stripe
         layout = self.layout
         name = obj.name
-        disks = layout.placement(name).data_disks.tolist()
+        disks = geometry_disks.tolist()
         sizes: list[int] = []
         flat: list[int] = []
         nexts: list[int] = []
@@ -694,8 +673,7 @@ class NonClusteredScheduler(CycleScheduler):
         ptr = np.zeros(len(cnt) + 1, dtype=np.int64)
         np.cumsum(cnt, out=ptr[1:])
         return (cnt, ptr, np.asarray(flat, dtype=np.int64),
-                np.asarray(nexts, dtype=np.int64),
-                np.asarray(data_counts, dtype=np.int64),
-                np.asarray(parity_flags, dtype=np.int64),
-                np.asarray(valid, dtype=bool),
-                tuple(deg_pairs), acc_info, 1)
+                np.asarray(nexts, dtype=np.int64), 1,
+                (np.asarray(data_counts, dtype=np.int64),
+                 np.asarray(parity_flags, dtype=np.int64),
+                 np.asarray(valid, dtype=bool), tuple(deg_pairs), acc_info))

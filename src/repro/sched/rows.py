@@ -39,14 +39,14 @@ if TYPE_CHECKING:
 
 #: int64 columns, one row each of a 2-D block.  The first
 #: ``STATIC_COLUMNS`` come from the stream's object and scheme (table
-#: bases, object length, per-cycle quota, read-gate parameters); the rest
-#: are its state (pointers, delivery start cycle — -1 before the first
-#: read —, per-epoch delivered/reconstructed deltas, buffer peak at entry
-#: and so far).
+#: bases, object length, per-cycle quota, read-gate parameters, rate);
+#: the rest are its state (pointers, delivery start cycle — -1 before
+#: the first read —, per-epoch delivered/reconstructed deltas, buffer
+#: peak at entry and so far).
 INT_COLUMNS = ("obj_base", "held_base", "num_tracks", "quota", "pace_rate",
-               "pace_base", "phase_mod", "phase_val", "next_read",
+               "pace_base", "phase_mod", "phase_val", "rate", "next_read",
                "next_del", "start", "deliv", "recon", "peak0", "peak")
-STATIC_COLUMNS = 8
+STATIC_COLUMNS = 9
 #: The state columns of a just-admitted stream.
 FRESH_STATE = np.array([[0], [0], [-1], [0], [0], [0], [0]], dtype=np.int64)
 #: bool masks: unpaced reads, admitted-but-not-delivering, live.
@@ -59,10 +59,10 @@ class EpochRows:
     __slots__ = (
         "obj_base", "held_base", "next_read", "next_del", "num_tracks",
         "start", "quota", "pace_rate", "pace_base", "phase_mod",
-        "phase_val", "deliv", "recon", "peak0", "peak", "unpaced",
+        "phase_val", "rate", "deliv", "recon", "peak0", "peak", "unpaced",
         "admitted", "live", "streams", "size", "retired", "ungated",
-        "paced", "peaks", "_ints", "_bools", "_scheduler", "_bases",
-        "_deg_pairs",
+        "paced", "max_rate", "peaks", "_ints", "_bools", "_scheduler",
+        "_bases", "_next_pointers", "_divisor", "_deg_pairs",
     )
 
     obj_base: np.ndarray
@@ -76,6 +76,7 @@ class EpochRows:
     pace_base: np.ndarray
     phase_mod: np.ndarray
     phase_val: np.ndarray
+    rate: np.ndarray
     deliv: np.ndarray
     recon: np.ndarray
     peak0: np.ndarray
@@ -86,19 +87,24 @@ class EpochRows:
 
     def __init__(self, scheduler: "CycleScheduler", live: list[Stream],
                  bases: dict[str, tuple[int, int]],
+                 next_pointers: np.ndarray, divisor: int,
                  deg_pairs: Optional[dict[str, tuple[tuple[int, int],
                                                      ...]]] = None,
                  ) -> None:
         """Rows for the ``live`` streams at epoch entry.
 
         ``bases`` maps each object the epoch may read to its
-        ``(position base, pointer base)`` in the flat read tables.
-        ``deg_pairs`` (degraded epochs only) maps each object to the
-        ``(group, acquired-at-pointer)`` pairs that predict a stream's
-        parity buffer at write-back.
+        ``(position base, pointer base)`` in the flat read tables;
+        ``next_pointers`` and ``divisor`` are those tables' pointer
+        column and pointer-to-position divisor.  ``deg_pairs`` (degraded
+        epochs only) maps each object to the ``(group,
+        acquired-at-pointer)`` pairs that predict a stream's parity
+        buffer at write-back.
         """
         self._scheduler = scheduler
         self._bases = bases
+        self._next_pointers = next_pointers
+        self._divisor = divisor
         self._deg_pairs = deg_pairs
         #: The Stream behind each row, in row order.
         self.streams: list[Stream] = []
@@ -109,6 +115,8 @@ class EpochRows:
         self.ungated = True
         #: True once any row paces its reads on the delivery schedule.
         self.paced = False
+        #: The largest rate any row has had: gather passes per cycle.
+        self.max_rate = 1
         #: stream id -> raised buffer peak, for ``tracker.fold_epoch``.
         self.peaks: dict[int, int] = {}
         self._ints = np.zeros((len(INT_COLUMNS), len(live)), dtype=np.int64)
@@ -137,7 +145,7 @@ class EpochRows:
             [bases[s.object.name]
              + (s.num_tracks,
                 k_prime * s.rate if quota is None else quota(s))
-             + gate(s) for s in streams],
+             + gate(s) + (s.rate,) for s in streams],
             dtype=np.int64).reshape(-1, STATIC_COLUMNS).T
         if fresh:
             ints[STATIC_COLUMNS:, lo:hi] = FRESH_STATE
@@ -160,6 +168,8 @@ class EpochRows:
             self.ungated = False
         if not self.paced and bool(pace_rate.any()):
             self.paced = True
+        self.max_rate = max(self.max_rate,
+                            int(ints[8, lo:hi].max(initial=1)))
         self.streams.extend(streams)
         self.size = hi
         self._cut_views()
@@ -252,56 +262,88 @@ class EpochRows:
 
     # -- the per-cycle stage ---------------------------------------------------
 
-    def stage(self, cycle: int, divisor: int,
-              ) -> tuple[Optional[str], np.ndarray, np.ndarray, np.ndarray]:
+    def stage(self, cycle: int,
+              ) -> tuple[Optional[str], np.ndarray, np.ndarray, np.ndarray,
+                         np.ndarray, Optional[np.ndarray]]:
         """Stage one cycle without mutating anything.
 
-        Returns ``(bail, due, reading, idx)``: tracks due for delivery
-        per row, the rows that read this cycle, and each reading row's
-        read-table position (0 elsewhere).  ``bail`` names the reason
-        the cycle cannot be modelled (an imminent hiccup, or a mid-group
-        read pointer the scalar planner raises on), else None.
+        Returns ``(bail, due, reading, idx, reads, pointer)``: tracks
+        due for delivery per row, the rows that read this cycle, each
+        reading row's first read-table position (0 elsewhere), every
+        position read this cycle, and the rows' read pointers after it —
+        None for a rate-1 store, whose reading rows move to
+        ``next_pointers[idx]``.  A rate-r row reads in up to r gather
+        passes (the scalar planners' per-rate-unit loop): pass ``j``
+        takes the rows with ``rate > j`` that read in pass ``j - 1``,
+        gated again on the pointer that pass left.  ``bail`` names the
+        reason the cycle cannot be modelled (an imminent hiccup, or a
+        mid-group read pointer the scalar planner raises on), else None.
         """
         live = self.live
         next_read = self.next_read
         next_del = self.next_del
+        num_tracks = self.num_tracks
         start = self.start
         started = live & (start >= 0) & (start <= cycle)
-        due = np.where(started,
-                       np.minimum(self.quota, self.num_tracks - next_del), 0)
+        due = np.where(started, np.minimum(self.quota, num_tracks - next_del),
+                       0)
         if bool((due > next_read - next_del).any()):
-            return "imminent-hiccup", due, due, due
-        reading = live & (next_read < self.num_tracks)
-        if not self.ungated:
-            reading &= (cycle % self.phase_mod) == self.phase_val
-        if self.paced:
-            reading &= self.unpaced | (
-                next_read < (cycle + 1 - self.pace_base) * self.pace_rate)
-        if divisor > 1 \
-                and bool((reading & (next_read % divisor != 0)).any()):
-            return "mid-group-pointer", due, reading, due
-        idx = np.where(reading, self.obj_base + next_read // divisor, 0)
-        return None, due, reading, idx
+            return "imminent-hiccup", due, due, due, due, None
+        divisor = self._divisor
+        next_pointers = self._next_pointers
+        phase = (None if self.ungated
+                 else (cycle % self.phase_mod) == self.phase_val)
+        pace = ((cycle + 1 - self.pace_base) * self.pace_rate if self.paced
+                else None)
+        reading = live
+        pointer = next_read
+        passes: list[np.ndarray] = []
+        for j in range(self.max_rate):
+            if j:
+                pointer = np.where(reading, next_pointers[idx], pointer)
+                reading = reading & (self.rate > j)
+            reading = reading & (pointer < num_tracks)
+            if phase is not None:
+                reading &= phase
+            if pace is not None:
+                reading &= self.unpaced | (pointer < pace)
+            if divisor > 1 \
+                    and bool((reading & (pointer % divisor != 0)).any()):
+                return "mid-group-pointer", due, reading, due, due, None
+            idx = np.where(reading, self.obj_base + pointer // divisor, 0)
+            passes.append(idx[reading])
+            if not j:
+                first = reading, idx
+        if len(passes) == 1:
+            return None, due, reading, idx, passes[0], None
+        pointer = np.where(reading, next_pointers[idx], pointer)
+        return None, due, first[0], first[1], np.concatenate(passes), pointer
 
     def commit(self, cycle: int, due: np.ndarray, reading: np.ndarray,
-               idx: np.ndarray, data_reads: np.ndarray,
-               next_pointers: np.ndarray) -> tuple[int, np.ndarray]:
+               idx: np.ndarray, data_read: np.ndarray,
+               pointer: Optional[np.ndarray]) -> tuple[int, np.ndarray]:
         """Commit a staged cycle.
 
-        ``data_reads`` is each row's data-read count this cycle: a row
-        starts its delivery clock on its first cycle with a data read.
-        Returns ``(rows that began delivering, rows that completed)``.
+        ``data_read`` marks the rows with a data read this cycle: a row
+        starts its delivery clock on its first such cycle.  ``pointer``
+        is :meth:`stage`'s: the read pointers after the cycle, or None
+        to move the reading rows to ``next_pointers[idx]``.  Returns
+        ``(rows that began delivering, rows that completed)``.
         """
         newly = self.admitted & (due > 0)
         began = int(np.count_nonzero(newly))
         if began:
             self.admitted &= ~newly
-        first_read = (self.start < 0) & (data_reads > 0)
+        first_read = (self.start < 0) & data_read
         if bool(first_read.any()):
             self.start[first_read] = cycle + 1
         self.next_del += due
         self.deliv += due
-        np.copyto(self.next_read, next_pointers[idx], where=reading)
+        if pointer is None:
+            np.copyto(self.next_read, self._next_pointers[idx],
+                      where=reading)
+        else:
+            np.copyto(self.next_read, pointer)
         finished = np.flatnonzero(self.live
                                   & (self.next_del >= self.num_tracks))
         if len(finished):

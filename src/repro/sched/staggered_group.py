@@ -12,8 +12,6 @@ fewer reads; "the Staggered group scheme in effect uses k = 1").
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sched.base import CycleScheduler
 from repro.sched.plan import PlannedRead
 from repro.server.stream import Stream
@@ -27,13 +25,6 @@ class StaggeredGroupScheduler(CycleScheduler):
 
     def _in_phase(self, stream: Stream, cycle: int) -> bool:
         return cycle % self.config.stripe_width == stream.phase
-
-    def _ff_stream_plan(self, stream: Stream, cycle: int,
-                        loads: list[int]) -> Optional[tuple[int, int]]:
-        """Quiescent plan: the group walk only on the stream's phase."""
-        if not self._in_phase(stream, cycle):
-            return stream.next_read_track, 0
-        return super()._ff_stream_plan(stream, cycle, loads)
 
     def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
         """Vector gate: read only in the stream's assigned phase."""

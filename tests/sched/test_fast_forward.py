@@ -5,9 +5,9 @@ the other with ``fast_forward=True``, and compares a full state
 fingerprint — cycle reports, per-disk read counters, buffer-tracker
 samples and per-stream peaks, every stream's pointers and buffer
 contents, and the rendered summary.  Equality must hold whether the
-epoch engine runs the vectorised path (all-rate-1 populations), the
-generic per-stream path (mixed rates), or bails to scalar cycles
-(payload mode, standing faults).
+row engine runs healthy (any rate mix: a rate-r stream reads in r gather
+passes), degraded, or bails to scalar cycles (payload mode, standing
+faults).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 
 from repro.faults.injector import FaultSchedule
 from repro.media import Catalog, MediaObject
+from repro.parity.xor import META_PAYLOAD
 from repro.sched.base import CycleScheduler
 from repro.sched.rows import EpochRows
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
@@ -108,26 +109,53 @@ def test_fast_forward_noop_in_payload_mode(scheme: Scheme) -> None:
 
 
 def _mixed_rate_catalog():
-    """Two base-rate objects plus one MPEG-2-style rate-3 object."""
-    from repro.media import MediaObject
+    """Two base-rate objects, a rate-2 one and an MPEG-2-style rate-3
+    one."""
     catalog = tiny_catalog(2, tracks=40)
+    catalog.add(MediaObject("double", 0.375, 60, seed=98))
     catalog.add(MediaObject("fast", 0.5625, 60, seed=99))
     return catalog
 
 
-def test_fast_forward_matches_scalar_mixed_rates() -> None:
-    """A rate-3 stream forces the generic (non-vector) epoch path."""
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_fast_forward_matches_scalar_mixed_rates(scheme: Scheme) -> None:
+    """Rate-2 and rate-3 streams ride the row engine's gather passes
+    for every cycle."""
     results = []
     for fast_forward in (False, True):
-        server = build_server(Scheme.STREAMING_RAID, num_disks=10,
-                              catalog=_mixed_rate_catalog(),
-                              verify_payloads=False)
-        for name in ("m0", "m1", "fast"):
+        server = _scheme_server(scheme, catalog=_mixed_rate_catalog())
+        for name in ("m0", "m1", "double", "fast"):
             server.admit(name)
-        assert any(s.rate == 3 for s in server.scheduler.streams.values())
+        assert sorted(s.rate for s in server.scheduler.streams.values()) \
+            == [1, 1, 2, 3]
         reports = server.run_cycles(CYCLES, fast_forward=fast_forward)
         results.append(_fingerprint(server, reports))
     assert results[0] == results[1]
+    assert server.report.ff_engaged_cycles == CYCLES
+
+
+def test_fast_forward_paces_every_rate_pass() -> None:
+    """Each gather pass re-checks NC's pace on the pointer the last pass
+    left.
+
+    Outside a degraded burst no path leaves a rate-3 stream part-way
+    between two pace targets, so the test moves one a track ahead by
+    hand: its next cycle must read two tracks, not three.
+    """
+    results = []
+    for fast_forward in (False, True):
+        server = _scheme_server(Scheme.NON_CLUSTERED,
+                                catalog=_mixed_rate_catalog())
+        ahead = server.admit("fast")
+        server.admit("m0")
+        reports = server.run_cycles(3, fast_forward=fast_forward)
+        ahead.buffer[ahead.next_read_track] = META_PAYLOAD
+        ahead.next_read_track += 1
+        reports += server.run_cycles(CYCLES, fast_forward=fast_forward)
+        results.append(_fingerprint(server, reports))
+    assert results[0] == results[1]
+    assert server.report.ff_engaged_cycles == 3 + CYCLES
 
 
 def test_fast_forward_advances_cycle_index() -> None:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import AdmissionError
 from repro.faults.injector import FaultSchedule
+from repro.media import Catalog, MediaObject
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.server import MultimediaServer, WorkloadResult
 from repro.workload import WorkloadGenerator, compile_trace
@@ -318,6 +319,57 @@ def test_double_failure_shared_group_bails(scheme: Scheme) -> None:
         prepare=lambda server: server.fail_disk(partner))
     assert fast == slow
     assert report.ff_disengagements.get("shared-group", 0) >= 1
+
+
+# -- mixed-rate churn: rate-2 and rate-3 arrivals join the row store ------
+
+
+def _mixed_rate_catalog() -> Catalog:
+    """Four base-rate objects, then a rate-2 (index 4) and a rate-3
+    (index 5) one, long enough to stay live across a fault."""
+    catalog = tiny_catalog(4, tracks=8)
+    catalog.add(MediaObject("double", 0.375, 80, seed=98))
+    catalog.add(MediaObject("triple", 0.5625, 120, seed=99))
+    return catalog
+
+
+#: Arrivals by catalog index; rate-2 and rate-3 objects land mid-epoch.
+MIXED_CHURN = {1: (0, 4), 4: (5,), 8: (1, 4, 5), 11: (2, 3, 4), 15: (0, 5)}
+
+
+@pytest.mark.parametrize("fault", [False, True],
+                         ids=["healthy", "fail-repair"])
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_mixed_rate_churn_matches_scalar(scheme: Scheme,
+                                         fault: bool) -> None:
+    # Healthy, every cycle runs on the engine, arrival cycles of rate-2
+    # and rate-3 objects included.  With disk 1 failed for cycles 6-13
+    # the degraded epochs refuse the mixed population (``mixed-rates``)
+    # and the scalar fallback keeps the runs bit-equal.
+    results = []
+    for fast_forward in (False, True):
+        server = _server(scheme, catalog=_mixed_rate_catalog())
+        arrivals = _churn_arrivals(server, MIXED_CHURN)
+        reports: list = []
+        admitted = rejected = 0
+        for count, command in ((6, server.fail_disk),
+                               (8, server.repair_disk), (6, None)):
+            batch, a, r = server.scheduler.run_churn(
+                count, arrivals, fast_forward=fast_forward)
+            reports += batch
+            admitted += a
+            rejected += r
+            if fault and command is not None:
+                command(1)
+        assert {s.rate for s in server.scheduler.streams.values()} \
+            == {1, 2, 3}
+        results.append(_fingerprint(server, reports) + (admitted, rejected))
+    assert results[0] == results[1]
+    if fault:
+        assert server.report.ff_disengagements.get("mixed-rates", 0) >= 1
+    else:
+        assert server.report.ff_engaged_cycles == 20
 
 
 def test_unarrived_requests_are_counted() -> None:
