@@ -43,6 +43,8 @@ worker processes, results always come back in session order, and
 from __future__ import annotations
 
 import functools
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -202,10 +204,15 @@ def _session_worker(conn: Connection) -> None:
       ``spec.fn(*spec.args, **spec.kwargs)``;
     * ``("step", sid, spec)``  — run ``spec.fn(state, *spec.args,
       **spec.kwargs)`` against the held state;
-    * ``("stop",)``            — drop every state and exit.
+    * ``("stop",)``            — exit at once.
 
     Every init/step is answered with ``(sid, ok, payload)`` where
     ``payload`` is the result or, on failure, the exception.
+
+    On stop the worker flushes its standard streams and leaves through
+    ``os._exit``: the held states die with the process instead of being
+    freed object by object (two 1000-disk shard servers take a tenth of
+    a second to tear down) while :meth:`SessionPool.close` waits.
     """
     states: dict[int, Any] = {}
     while True:
@@ -213,7 +220,9 @@ def _session_worker(conn: Connection) -> None:
         kind = message[0]
         if kind == "stop":
             conn.close()
-            return
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(0)
         _, sid, spec = message
         try:
             if kind == "init":

@@ -267,14 +267,17 @@ class CycleScheduler(abc.ABC):
     def _handle_dropped(self, dropped: list[PlannedRead],
                         report: CycleReport) -> None:
         """Default drop policy: a dropped data read is a lost track."""
+        disks = self.array.disks
+        data = ReadKind.DATA
+        lost: list[tuple[int, int]] = []
         for plan in dropped:
-            if self.array[plan.disk_id].is_failed:
+            if disks[plan.disk_id].is_failed:
                 raise SimulationError(
                     f"scheduler planned a read on failed disk {plan.disk_id}"
                 )
-            if plan.kind is ReadKind.DATA:
-                self._mark_lost(plan.stream_id, plan.index,
-                                HiccupCause.SLOT_OVERFLOW)
+            if plan.kind is data:
+                lost.append((plan.stream_id, plan.index))
+        self._mark_lost(lost, HiccupCause.SLOT_OVERFLOW)
 
     def resolve_plans(self, plans: list[PlannedRead], report: CycleReport,
                       ) -> tuple[list[PlannedRead], list[PlannedRead]]:
@@ -439,11 +442,22 @@ class CycleScheduler(abc.ABC):
         if stream.is_active:
             stream.stop()
 
-    def _mark_lost(self, stream_id: int, track: int,
+    def _mark_lost(self, lost: Iterable[tuple[int, int]],
                    cause: HiccupCause) -> None:
-        stream = self.streams[stream_id]
-        stream.mark_lost(track)
-        self._lost_causes.setdefault((stream_id, track), cause)
+        """Record ``(stream_id, track)`` pairs as undeliverable.
+
+        The only writer of ``_lost_causes``: a track's first recorded
+        cause sticks.  Inlines :meth:`Stream.mark_lost`, since overloaded
+        cycles drop thousands of reads.
+        """
+        streams = self.streams
+        causes = self._lost_causes
+        for key in lost:
+            stream_id, track = key
+            stream = streams[stream_id]
+            if track >= stream.next_delivery_track:
+                stream.lost_tracks.add(track)
+            causes.setdefault(key, cause)
 
     # -- failure control ---------------------------------------------------------
 
@@ -480,7 +494,7 @@ class CycleScheduler(abc.ABC):
                 # now and the hiccup avoided.
                 group = plan.index // self._stripe
                 if not self._try_direct_reconstruction(stream, group, None):
-                    self._mark_lost(plan.stream_id, plan.index,
+                    self._mark_lost([(plan.stream_id, plan.index)],
                                     HiccupCause.MID_CYCLE_FAILURE)
         self.on_disk_failure(disk_id)
         self._account_data_loss()
@@ -602,11 +616,10 @@ class CycleScheduler(abc.ABC):
             tracks = current.get(stream.object.name)
             if not tracks:
                 continue
-            if any(t >= stream.next_delivery_track for t in tracks):
-                for track in tracks:
-                    if track >= stream.next_delivery_track:
-                        self._mark_lost(stream.stream_id, track,
-                                        HiccupCause.DATA_LOSS)
+            ahead = [(stream.stream_id, track) for track in tracks
+                     if track >= stream.next_delivery_track]
+            if ahead:
+                self._mark_lost(ahead, HiccupCause.DATA_LOSS)
                 self.terminate_stream(stream.stream_id)
                 shed.append(stream.stream_id)
         self._pending_shed += len(shed)
@@ -1674,13 +1687,13 @@ class CycleScheduler(abc.ABC):
             if entry.failed_members or entry.parity is None:
                 # The group is already one block short: the media error is
                 # a second fault and the track cannot be rebuilt in-cycle.
-                self._mark_lost(plan.stream_id, plan.index,
+                self._mark_lost([(plan.stream_id, plan.index)],
                                 HiccupCause.MEDIA_ERROR)
                 continue
             payload = self._rebuild_from_group(stream, plan, entry, slack,
                                                report)
             if payload is None:
-                self._mark_lost(plan.stream_id, plan.index,
+                self._mark_lost([(plan.stream_id, plan.index)],
                                 HiccupCause.MEDIA_ERROR)
                 continue
             stream.buffer[plan.index] = payload

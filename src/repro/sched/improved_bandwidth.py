@@ -155,7 +155,7 @@ class ImprovedBandwidthScheduler(CycleScheduler):
             first, second = second, first
         if self.array[first.disk_id].is_failed:
             # Both copies down: the track is lost (catastrophic pair).
-            self._mark_lost(stream.stream_id, track,
+            self._mark_lost([(stream.stream_id, track)],
                             HiccupCause.DISK_FAILURE)
             stream.next_read_track = track + 1
             return
@@ -245,7 +245,7 @@ class ImprovedBandwidthScheduler(CycleScheduler):
             updated.append(plan)
         if self.array[parity_address.disk_id].is_failed:
             # Parity unavailable too: the block is simply lost.
-            self._mark_lost(stream_id, dropped.index,
+            self._mark_lost([(stream_id, dropped.index)],
                             HiccupCause.DISK_FAILURE)
             return updated
         updated.append(PlannedRead(

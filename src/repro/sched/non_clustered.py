@@ -152,12 +152,13 @@ class NonClusteredScheduler(CycleScheduler):
             cause = (HiccupCause.BUFFER_EXHAUSTED
                      if cluster in self._unprotected
                      else HiccupCause.DISK_FAILURE)
-            for offset in failed_offsets:
-                if offset >= len(tracks):
-                    continue
-                track = tracks[offset]
-                if track >= stream.next_read_track and not recoverable:
-                    self._mark_lost(stream.stream_id, track, cause)
+            if not recoverable:
+                self._mark_lost(
+                    [(stream.stream_id, tracks[offset])
+                     for offset in failed_offsets
+                     if offset < len(tracks)
+                     and tracks[offset] >= stream.next_read_track],
+                    cause)
             if recoverable and self.protocol is TransitionProtocol.LAZY:
                 self._open_accumulator(stream, group, tracks,
                                        failed_offsets[0])
@@ -301,7 +302,8 @@ class NonClusteredScheduler(CycleScheduler):
             cause = (HiccupCause.BUFFER_EXHAUSTED
                      if cluster in self._unprotected
                      else HiccupCause.DISK_FAILURE)
-            self._mark_lost(stream.stream_id, stream.next_read_track, cause)
+            self._mark_lost([(stream.stream_id, stream.next_read_track)],
+                            cause)
             stream.next_read_track += 1
             return  # the failed disk's cycle passes idle for this stream
         plans.append(self._data_read(stream, stream.next_read_track,
@@ -395,22 +397,25 @@ class NonClusteredScheduler(CycleScheduler):
 
     def _handle_dropped(self, dropped: list[PlannedRead],
                         report: CycleReport) -> None:
+        data = ReadKind.DATA
+        self._mark_lost([(plan.stream_id, plan.index) for plan in dropped
+                         if plan.kind is data],
+                        HiccupCause.TRANSITION if self._degraded
+                        else HiccupCause.SLOT_OVERFLOW)
         for plan in dropped:
-            if plan.kind is ReadKind.DATA:
-                cause = (HiccupCause.TRANSITION if self._degraded
-                         else HiccupCause.SLOT_OVERFLOW)
-                self._mark_lost(plan.stream_id, plan.index, cause)
-            else:
-                # A dropped parity read dooms the reconstruction.
-                stream = self.streams.get(plan.stream_id)
-                if stream is None:
-                    continue
-                key = (plan.stream_id, plan.index)
-                acc = self._accumulators.pop(key, None)
-                if acc is not None:
-                    stream.accumulators.pop(plan.index, None)
-                    self._mark_lost(plan.stream_id, acc.target_track,
-                                    HiccupCause.DISK_FAILURE)
+            if plan.kind is data:
+                continue
+            # A dropped parity read dooms the reconstruction (its target
+            # track is on a failed disk, so no dropped data read names it).
+            stream = self.streams.get(plan.stream_id)
+            if stream is None:
+                continue
+            key = (plan.stream_id, plan.index)
+            acc = self._accumulators.pop(key, None)
+            if acc is not None:
+                stream.accumulators.pop(plan.index, None)
+                self._mark_lost([(plan.stream_id, acc.target_track)],
+                                HiccupCause.DISK_FAILURE)
 
     def _extra_buffer_tracks(self) -> int:
         return self.pool.tracks_in_use if self.pool is not None else 0

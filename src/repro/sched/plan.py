@@ -29,6 +29,12 @@ class ReadPurpose(enum.Enum):
     OPPORTUNISTIC = "opportunistic"
 
 
+#: Slot-contention rank per purpose; lower wins.  OPPORTUNISTIC yields to
+#: all scheduled work.
+PRIORITY = {ReadPurpose.RECOVERY: 0, ReadPurpose.NORMAL: 1,
+            ReadPurpose.OPPORTUNISTIC: 2}
+
+
 class PlannedRead:
     """One track-sized read planned for the coming cycle.
 
@@ -78,8 +84,4 @@ class PlannedRead:
     @property
     def priority(self) -> int:
         """Slot-contention rank; lower wins."""
-        if self.purpose is ReadPurpose.RECOVERY:
-            return 0
-        if self.purpose is ReadPurpose.NORMAL:
-            return 1
-        return 2  # OPPORTUNISTIC yields to all scheduled work
+        return PRIORITY[self.purpose]

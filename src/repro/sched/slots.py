@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.disk.drive import DiskArray
-from repro.sched.plan import PlannedRead
+from repro.sched.plan import PRIORITY, PlannedRead, ReadPurpose
 
 
 class SlotTable:
@@ -41,8 +41,7 @@ class SlotTable:
         # Fast path: every touched disk is up, at full speed, and under
         # budget — all plans execute, nothing is dropped, no per-disk
         # ranking is needed.  This is the overwhelmingly common
-        # healthy-cycle case; it only counts loads, deferring the per-disk
-        # plan lists to the slow path.
+        # healthy-cycle case; it only counts loads.
         slots = self.slots_per_disk
         array = self.array
         counts: dict[int, int] = {}
@@ -59,29 +58,46 @@ class SlotTable:
                 for disk_id in counts):
             plans = plans if type(plans) is list else list(plans)
             return plans, []
-        by_disk: dict[int, list[PlannedRead]] = {}
-        for plan in plans:
-            by_disk.setdefault(plan.disk_id, []).append(plan)
+        # Contended disks — failed, or holding more plans than their
+        # (fail-slow-shrunk) budget — get per-class quotas; a failed
+        # disk's budget is zero.  Each quota starts as the disk's demand
+        # per class, counting every plan NORMAL but the few that are not.
+        normal = ReadPurpose.NORMAL
+        quotas: dict[int, list[int]] = {}
+        budgets: dict[int, int] = {}
+        for disk_id, load in counts.items():
+            disk = array[disk_id]
+            budget = 0 if disk.is_failed else disk.effective_slots(slots)
+            if load > budget:
+                quotas[disk_id] = [0, load, 0]
+                budgets[disk_id] = budget
+        for plan in [p for p in plans if p.purpose is not normal]:
+            quota = quotas.get(plan.disk_id)
+            if quota is not None:
+                quota[1] -= 1
+                quota[PRIORITY[plan.purpose]] += 1
+        # The budget goes to RECOVERY, then NORMAL, then OPPORTUNISTIC.
+        for disk_id, quota in quotas.items():
+            budget = budgets[disk_id]
+            for rank, wanting in enumerate(quota):
+                quota[rank] = granted = min(wanting, budget)
+                budget -= granted
+        # One pass in planning order: within a class the first plans win
+        # the quota, and both outputs come out in planning order.
         executed: list[PlannedRead] = []
         dropped: list[PlannedRead] = []
-        for disk_id, disk_plans in by_disk.items():
-            disk = array[disk_id]
-            if disk.is_failed:
-                dropped.extend(disk_plans)
+        for plan in plans:
+            quota = quotas.get(plan.disk_id)
+            if quota is None:
+                executed.append(plan)
                 continue
-            # A fail-slow drive's budget shrinks with its service fraction.
-            budget = disk.effective_slots(slots)
-            if len(disk_plans) <= budget:
-                executed.extend(disk_plans)
-                continue
-            # Stable sort: priority first, planning order second.
-            ranked = sorted(disk_plans, key=lambda p: p.priority)
-            executed.extend(ranked[:budget])
-            dropped.extend(ranked[budget:])
-        # Return in global planning order for determinism downstream.
-        order = {id(plan): i for i, plan in enumerate(plans)}
-        executed.sort(key=lambda p: order[id(p)])
-        dropped.sort(key=lambda p: order[id(p)])
+            purpose = plan.purpose
+            rank = 1 if purpose is normal else PRIORITY[purpose]
+            if quota[rank]:
+                quota[rank] -= 1
+                executed.append(plan)
+            else:
+                dropped.append(plan)
         return executed, dropped
 
     def load(self, plans: Iterable[PlannedRead]) -> dict[int, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 
 class HiccupCause(enum.Enum):
@@ -26,9 +26,13 @@ class HiccupCause(enum.Enum):
     DATA_LOSS = "data-loss"                # track lost to a double failure
 
 
-@dataclass(frozen=True)
-class HiccupRecord:
-    """One missed track."""
+class HiccupRecord(NamedTuple):
+    """One missed track.
+
+    A named tuple rather than a frozen dataclass: overloaded runs record
+    tens of thousands of these, and a tuple is cheaper to build, to hold
+    and to ship between processes.
+    """
 
     cycle: int
     stream_id: int
@@ -82,6 +86,20 @@ class CycleReport:
     media_reconstructions: int = 0
     media_recovery_reads: int = 0
     streams_shed: int = 0
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Hiccups cross a process boundary as plain tuples: pickle then
+        # writes no class reference per record.
+        if not self.hiccups:
+            return self.__dict__
+        state = dict(self.__dict__)
+        state["hiccups"] = [tuple(record) for record in self.hiccups]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if self.hiccups:
+            self.hiccups = list(map(HiccupRecord._make, self.hiccups))
 
 
 @dataclass

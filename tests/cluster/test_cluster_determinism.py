@@ -11,10 +11,14 @@ degraded-mode routing too, not just the quiescent path.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ClusterFault, ClusterSpec, run_cluster
+from repro.experiments.clusterbench import smoke_spec
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
+from repro.server.metrics import HiccupCause, HiccupRecord
 
 #: One mid-trace failure on shard 1, repaired before the run ends: the
 #: faulted shard sheds capacity, the router steers replicas away, and
@@ -82,3 +86,28 @@ def test_parity_declustered_fault_replays_identically() -> None:
     # PD rides its distributed-rebuild path through the same contract.
     assert_bit_identical(spec(Scheme.PARITY_DECLUSTERED,
                               faults=SHARD1_FAULT))
+
+
+def test_hiccup_records_survive_the_pipe() -> None:
+    """Every hiccup record, not just the totals, crosses the pool intact.
+
+    With no admission limit, PD admits more streams than its disks can
+    serve, so shards drop reads every cycle; a failure and repair on
+    shard 1 adds disk-failure and transition hiccups.  The records come
+    home pickled from the pool workers and must equal the in-process
+    run's field for field — :meth:`ClusterReport.digest` covers only
+    totals.
+    """
+    overloaded = dataclasses.replace(
+        smoke_spec(Scheme.PARITY_DECLUSTERED), admission_limit=None,
+        arrivals_per_cycle=20.0,
+        faults=(ClusterFault(shard=1, cycle=8, disk_id=3,
+                             repair_cycle=18),))
+    serial = run_cluster(overloaded, workers=1)
+    pooled = run_cluster(overloaded, workers=2)
+    hiccups = pooled.report.all_hiccups()
+    assert hiccups == serial.report.all_hiccups()
+    assert pooled.report.to_rows() == serial.report.to_rows()
+    assert all(type(record) is HiccupRecord for record in hiccups)
+    assert {record.cause for record in hiccups} >= {
+        HiccupCause.SLOT_OVERFLOW, HiccupCause.DISK_FAILURE}

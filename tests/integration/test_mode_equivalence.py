@@ -89,9 +89,10 @@ def test_metadata_mode_matches_payload_mode(scheme, protocol, mid_cycle):
     actual = snapshot(metadata)
 
     assert expected["payload_mismatches"] == 0
-    # CycleReport and HiccupRecord are dataclasses: field-wise equality
-    # covers reads, drops, parity traffic, deliveries, reconstructions,
-    # hiccup records (cycle/stream/track/cause) and buffer occupancy.
+    # CycleReport is a dataclass and HiccupRecord a named tuple, so
+    # equality is field-wise: it covers reads, drops, parity traffic,
+    # deliveries, reconstructions, hiccup records (cycle/stream/track/
+    # cause) and buffer occupancy.
     assert actual["cycles"] == expected["cycles"]
     for key in ("payload_mismatches", "reads_per_disk", "writes_per_disk",
                 "streams"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -34,6 +35,12 @@ def exit_in_session_one(state: dict) -> int:
     """Session step: the worker holding session 1 dies mid-step."""
     if state["value"] == 10:
         os._exit(3)
+    return state["value"]
+
+
+def say_unflushed(state: dict) -> int:
+    """Session step: print a line and leave it in the stdout buffer."""
+    print(f"session value {state['value']}")
     return state["value"]
 
 
@@ -110,6 +117,25 @@ def test_close_is_idempotent_and_context_managed() -> None:
     pool.close()
     with pytest.raises(RuntimeError, match="closed"):
         pool.step_all(bump, args=[(1,), (1,)])
+
+
+def test_close_exits_every_worker_cleanly(capfd, monkeypatch) -> None:
+    """Workers exit with code 0, flushing output a step left buffered."""
+    # Spawned workers inherit the environment: make their stdout
+    # block-buffered, so an unflushed line would die with the worker.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    pool = SessionPool(counter_sessions(3), workers=2)
+    assert pool.step_all(say_unflushed) == [0, 10, 20]
+    workers = list(pool._procs)
+    assert len(workers) == 2
+    pool.close()
+    assert [worker.exitcode for worker in workers] == [0, 0]
+    assert not any(worker.is_alive() for worker in workers)
+    # Two workers share the captured stdout, so their lines may
+    # interleave; each value must still be there.
+    out = capfd.readouterr().out
+    assert sorted(re.findall(r"session value (\d+)", out)) == \
+        ["0", "10", "20"]
 
 
 def test_rejects_empty_sessions_and_bad_workers() -> None:

@@ -85,3 +85,87 @@ def test_order_preserved_within_outcomes(plans, table):
         sorted(order[id(p)] for p in executed)
     assert [order[id(p)] for p in dropped] == \
         sorted(order[id(p)] for p in dropped)
+
+
+#: The reference's own priority ranks, so the oracle does not share the
+#: table the implementation reads.
+REFERENCE_RANK = {ReadPurpose.RECOVERY: 0, ReadPurpose.NORMAL: 1,
+                  ReadPurpose.OPPORTUNISTIC: 2}
+
+
+def reference_resolve(table, plans):
+    """The sort-based arbitration ``SlotTable.resolve`` used to run.
+
+    Groups plans per disk, drops everything on a failed disk, stably
+    sorts each over-budget disk's plans by priority and keeps the first
+    ``effective_slots`` of them, then restores planning order in both
+    outcome lists.  Kept here as the oracle for the sort-free version.
+    """
+    by_disk = {}
+    for plan in plans:
+        by_disk.setdefault(plan.disk_id, []).append(plan)
+    executed, dropped = [], []
+    for disk_id, disk_plans in by_disk.items():
+        disk = table.array[disk_id]
+        if disk.is_failed:
+            dropped.extend(disk_plans)
+            continue
+        budget = disk.effective_slots(table.slots_per_disk)
+        if len(disk_plans) <= budget:
+            executed.extend(disk_plans)
+            continue
+        ranked = sorted(disk_plans, key=lambda p: REFERENCE_RANK[p.purpose])
+        executed.extend(ranked[:budget])
+        dropped.extend(ranked[budget:])
+    order = {id(plan): i for i, plan in enumerate(plans)}
+    executed.sort(key=lambda p: order[id(p)])
+    dropped.sort(key=lambda p: order[id(p)])
+    return executed, dropped
+
+
+@st.composite
+def faulted_tables(draw):
+    """Slot tables with failed and fail-slow (throttled) disks."""
+    array = DiskArray(NUM_DISKS, PAPER_TABLE1_DRIVE)
+    states = draw(st.lists(
+        st.sampled_from(["up", "up", "failed", 0.0, 0.2, 0.5, 0.75, 1.0]),
+        min_size=NUM_DISKS, max_size=NUM_DISKS))
+    for disk_id, state in enumerate(states):
+        if state == "failed":
+            array.fail(disk_id)
+        elif state != "up":
+            array.degrade(disk_id, state)
+    slots = draw(st.integers(min_value=1, max_value=8))
+    return SlotTable(array, slots)
+
+
+@settings(max_examples=300)
+@given(plans=plan_lists(), table=faulted_tables())
+def test_resolve_matches_sort_based_reference(plans, table):
+    """Same executed/dropped plans, by identity and in the same order."""
+    executed, dropped = table.resolve(plans)
+    want_executed, want_dropped = reference_resolve(table, plans)
+    assert [id(p) for p in executed] == [id(p) for p in want_executed]
+    assert [id(p) for p in dropped] == [id(p) for p in want_dropped]
+
+
+def test_reference_covers_every_purpose_and_fault_kind():
+    """A hand-built contended cycle exercising each branch at once."""
+    array = DiskArray(NUM_DISKS, PAPER_TABLE1_DRIVE)
+    array.fail(0)
+    array.degrade(1, 0.5)  # 4 slots -> 2
+    table = SlotTable(array, 4)
+    purposes = [ReadPurpose.OPPORTUNISTIC, ReadPurpose.NORMAL,
+                ReadPurpose.RECOVERY, ReadPurpose.NORMAL,
+                ReadPurpose.RECOVERY, ReadPurpose.OPPORTUNISTIC]
+    plans = [PlannedRead(disk_id=disk_id, position=index, stream_id=index,
+                         object_name="x", kind=ReadKind.DATA, index=index,
+                         purpose=purposes[index % len(purposes)])
+             for index, disk_id in enumerate([0, 1, 1, 1, 2, 2, 2, 2, 2,
+                                              1, 0, 2, 1, 3])]
+    executed, dropped = table.resolve(plans)
+    want_executed, want_dropped = reference_resolve(table, plans)
+    assert [id(p) for p in executed] == [id(p) for p in want_executed]
+    assert [id(p) for p in dropped] == [id(p) for p in want_dropped]
+    assert {p.disk_id for p in dropped} == {0, 1, 2}
+    assert sum(p.disk_id == 1 for p in executed) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.server.metrics import (CycleReport, DataLossEvent, HiccupCause,
@@ -146,3 +148,23 @@ def test_reducer_merge_counts_server_cycles_and_peak() -> None:
 def test_negative_tail_rejected() -> None:
     with pytest.raises(ValueError, match="tail"):
         SimulationReport(tail=-1)
+
+
+def test_cycle_report_pickles_hiccups_as_records() -> None:
+    """Hiccups ship as plain tuples and come back as HiccupRecords."""
+    report = cycle(7, delivered=3, hiccups=4, parity=1, buffered=5)
+    report.hiccups[2] = report.hiccups[2]._replace(
+        cause=HiccupCause.SLOT_OVERFLOW, object_name="m1")
+    quiet = cycle(8, delivered=2)
+    for original in (report, quiet):
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            restored = pickle.loads(pickle.dumps(original, protocol))
+            assert restored == original
+            assert restored is not original
+            assert all(type(record) is HiccupRecord
+                       for record in restored.hiccups)
+    # Pickling leaves the live report's records untouched, and the
+    # payload names no record class: the records travel as tuples.
+    assert all(type(record) is HiccupRecord for record in report.hiccups)
+    assert b"HiccupRecord" not in pickle.dumps(report,
+                                               pickle.HIGHEST_PROTOCOL)
